@@ -64,7 +64,7 @@ class FramedProfile:
 def framed_profile(K, n_lo, n_hi):
     """Per-framing obstruction landscape over a contiguous n-interval."""
     if n_lo > n_hi:
-        raise ValueError("empty framing window [%d, %d]" % (n_lo, n_hi))
+        raise OutOfRange("empty framing window [%d, %d]" % (n_lo, n_hi))
     s = signature(K)
     dm1, _ = d_pm1(K)
     rows = []
@@ -109,7 +109,8 @@ def obstruction_audit(g, m, d):
     cobordism inequality reduces identically to e(F)/2 <= 2d + b1(F).
     """
     if g < 0 or m < 1 or d < 0:
-        raise ValueError("need g >= 0, m >= 1, d >= 0")
+        raise OutOfRange("need g >= 0, m >= 1, d >= 0 (got g=%d, m=%d, d=%d)"
+                         % (g, m, d))
     n = 4 * m - 1
     if n <= 2 * g:
         raise OutOfRange("need n = 4m-1 > 2g (got n=%d, g=%d)" % (n, g))

@@ -10,7 +10,7 @@ import sys
 
 from . import bounds, heegaard, pinch, reports, torus
 from .errors import ConsistencyError, InputError
-from .torus import Hand, TorusKnotClass, canonicalize, mirror
+from .torus import Hand, canonicalize, mirror
 
 
 def _knot(args):
@@ -101,8 +101,12 @@ def _cmd_signature(args, out):
 
 def _cmd_alexander(args, out):
     poly = torus.alexander(args.p, args.q)
+    t, oracle = heegaard.t0(args.p, args.q), poly.t0()
+    if t != oracle:
+        raise ConsistencyError("t0 engines disagree: floor-sum %d vs "
+                               "Alexander coefficients %d" % (t, oracle))
     print(str(poly), file=out)
-    print("t0 = %d" % heegaard.t0(args.p, args.q), file=out)
+    print("t0 = %d" % t, file=out)
     return 0
 
 

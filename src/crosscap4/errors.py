@@ -38,10 +38,6 @@ class ParityError(InputError):
     pass
 
 
-class InexactDivision(ArithmeticError):
-    """Laurent division left a nonzero remainder; signals caller misuse."""
-
-
 class NotSymmetric(ValueError):
     """Polynomial is not invariant under T -> 1/T."""
 

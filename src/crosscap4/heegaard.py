@@ -6,16 +6,28 @@ of the Alexander polynomial.  Rationals are exact (fractions.Fraction).
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConsistencyError, OddSignature, OutOfRange
-from .torus import Hand, alexander
+from .numtheory import floor_sum
+from .torus import Hand, _check_coprime
 
 
-@lru_cache(maxsize=None)
 def t0(p, q):
-    """Torsion coefficient sum j*a_j of the Alexander polynomial of T(p,q)."""
-    return alexander(p, q).t0()
+    """Torsion coefficient sum j*a_j of the Alexander polynomial of T(p,q).
+
+    T(p,q) is an L-space knot with semigroup <p, q>, so t0 = V_0 counts the
+    semigroup elements a*p + b*q (a, b >= 0) below g = (p-1)(q-1)/2.  For
+    each a, the b's number floor((g-1-a*p)/q) + 1, which sums to one
+    floor_sum: O(log pq).  alexander(p, q).t0() is the independent oracle.
+    """
+    if q > p:
+        p, q = q, p
+    _check_coprime(p, q)
+    if q <= 1:
+        return 0
+    g = (p - 1) * (q - 1) // 2
+    n = (g - 1) // p + 1
+    return n + floor_sum(n, q, p, (g - 1) % p)
 
 
 def d_zero_surgery(p, q):
@@ -62,7 +74,7 @@ def d_b_circle_bundle(g, n):
     """Bottom correction term of the Euler-number -n circle bundle over a
     genus-g surface: 1/4 - g^2/n - n/4, valid only for n > 2g."""
     if g < 0 or n < 1:
-        raise ValueError("need g >= 0 and n >= 1")
+        raise OutOfRange("need g >= 0 and n >= 1 (got g=%d, n=%d)" % (g, n))
     if n <= 2 * g:
         raise OutOfRange("formula requires n > 2g (got n=%d, g=%d)" % (n, g))
     return Fraction(1, 4) - Fraction(g * g, n) - Fraction(n, 4)

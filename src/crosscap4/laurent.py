@@ -1,11 +1,11 @@
 """Sparse integer Laurent polynomials in one variable T.
 
 A polynomial is a mapping {exponent: coefficient} with no stored zero
-coefficients; the zero polynomial is the empty mapping.  Values behave as
-immutable after construction: no operation mutates its operands.
+coefficients; the zero polynomial is the empty mapping.  Values are never
+mutated after construction.
 """
 
-from .errors import InexactDivision, NotSymmetric
+from .errors import NotSymmetric
 
 
 class LaurentPoly:
@@ -20,21 +20,8 @@ class LaurentPoly:
         self._terms = t
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent, coeff=1):
-        return cls({exponent: coeff})
-
-    @classmethod
-    def one_minus_power(cls, k):
-        """1 - T^k (the only denominators the Alexander quotient needs)."""
-        return cls({0: 1, k: -1})
 
     @property
     def terms(self):
@@ -46,9 +33,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self._terms
 
-    def min_exp(self):
-        return min(self._terms)
-
     def max_exp(self):
         return max(self._terms)
 
@@ -59,85 +43,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        res = dict(self._terms)
-        for e, c in other._terms.items():
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = res
-        return out
-
-    def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        res = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = res
-        return out
-
-    def shift(self, k):
-        """Multiply by T^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
-
-    def exact_div(self, den):
-        """Exact quotient self / den over the integers.
-
-        Both operands are shifted to ordinary polynomials, long division runs
-        from the top degree, and the result is shifted back.  A nonzero
-        remainder raises InexactDivision.
-        """
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        num_shift = self.min_exp()
-        den_shift = den.min_exp()
-        rem = {e - num_shift: c for e, c in self._terms.items()}
-        dterms = [(e - den_shift, c) for e, c in den._terms.items()]
-        ddeg = max(e for e, _ in dterms)
-        dlead = dict(dterms)[ddeg]
-        quot = {}
-        while rem:
-            e = max(rem)
-            if e < ddeg:
-                raise InexactDivision("nonzero remainder of degree %d" % e)
-            c = rem[e]
-            if c % dlead:
-                raise InexactDivision(
-                    "leading coefficient %d not divisible by %d" % (c, dlead))
-            qc = c // dlead
-            qe = e - ddeg
-            quot[qe] = qc
-            for de, dc in dterms:
-                ke = qe + de
-                s = rem.get(ke, 0) - qc * dc
-                if s:
-                    rem[ke] = s
-                else:
-                    rem.pop(ke, None)
-        out = LaurentPoly(quot)
-        return out.shift(num_shift - den_shift)
 
     def symmetric_coeffs(self):
         """Decompose a symmetric polynomial as a0 + sum a_j (T^j + T^-j).

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import gamma4_lower
-from .errors import ConsistencyError, NotCoprime
+from .errors import ConsistencyError, NotCoprime, OutOfRange
 from .heegaard import d_pm1, t0
-from .pinch import GAMMA4, gamma3_upper, gamma4_upper, pinch_sequence
-from .torus import Hand, TorusKnotClass, canonicalize, mirror, signature
+from .pinch import GAMMA3, GAMMA4, pinch_sequence
+from .torus import Hand, canonicalize, mirror, signature
 
 CSV_HEADER = ("p,q,sigma_right,sigma_left,t0,d_minus1_right,d_minus1_left,"
               "gamma4_lower,gamma4_upper,exact,gamma3_upper")
@@ -36,7 +36,7 @@ def report(p, q):
     genus bounds, exactness flag, and the pinch trace behind the upper
     bound.  The input pair is canonicalized first."""
     if p < 1 or q < 1:
-        raise NotCoprime("need p, q >= 1, got (%d, %d)" % (p, q))
+        raise OutOfRange("need p, q >= 1, got (%d, %d)" % (p, q))
     if math.gcd(p, q) != 1:
         raise NotCoprime("(%d, %d) are not coprime" % (p, q))
     K = canonicalize(p, q)
@@ -49,19 +49,25 @@ def report(p, q):
     d_right, _ = d_pm1(right)
     d_left, _ = d_pm1(left)
     lower = gamma4_lower(K)
-    upper = gamma4_upper(K)
+
+    # One pinch walk serves both upper bounds: the GAMMA4 walk is the prefix
+    # of the GAMMA3 walk through its first unknot (same steps, same start).
+    even = (K.p * K.q) % 2 == 0
+    steps = pinch_sequence(K, GAMMA3 if even else GAMMA4).steps
+    n4 = next((i + 1 for i, step in enumerate(steps) if step.to.is_unknot),
+              len(steps))
+    upper = max(1, n4)
     if lower > upper:
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
                                % (lower, upper, K))
 
-    seq = pinch_sequence(K, GAMMA4)
     trace = [(K.p, K.q)]
-    for step in seq.steps:
+    for step in steps[:n4]:
         r, s = step.raw_to
         r, s = abs(r), abs(s)
         trace.append((max(r, s), min(r, s)))
 
-    g3 = gamma3_upper(K) if (K.p * K.q) % 2 == 0 else None
+    g3 = max(1, len(steps)) if even else None
 
     return BoundReport(
         p=K.p, q=K.q,
@@ -78,7 +84,7 @@ def report(p, q):
 def family_table(k_max):
     """Reports for the family T(2k, 2k-1), k = 2..k_max."""
     if k_max < 2:
-        raise ValueError("need k_max >= 2")
+        raise OutOfRange("need k_max >= 2, got %d" % k_max)
     return [report(2 * k, 2 * k - 1) for k in range(2, k_max + 1)]
 
 

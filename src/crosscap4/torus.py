@@ -10,11 +10,11 @@ other.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, NotCoprime, NotPrimitive, ZeroClass
+from .errors import (ConsistencyError, NotCoprime, NotPrimitive, OutOfRange,
+                     ZeroClass)
 from .laurent import LaurentPoly
 
 
@@ -83,7 +83,6 @@ def _check_coprime(p, q):
         raise NotCoprime("(%d, %d) are not coprime" % (p, q))
 
 
-@lru_cache(maxsize=None)
 def sigma_rec(p, q):
     """Murasugi's signature recursion, giving -signature(T(p,q)) >= 0.
 
@@ -95,7 +94,8 @@ def sigma_rec(p, q):
     Runs iteratively (batched descent), so stack depth never grows.
     """
     if p < 0 or q < 0:
-        raise ValueError("sigma_rec expects nonnegative arguments")
+        raise OutOfRange("sigma_rec expects nonnegative arguments, got "
+                         "(%d, %d)" % (p, q))
     _check_coprime(p, q)
     total = 0
     sign = 1
@@ -140,7 +140,8 @@ def sigma_lattice(p, q):
         p, q = q, p
     _check_coprime(p, q)
     if q < 1 or p < 2:
-        raise ValueError("sigma_lattice expects p >= 2, q >= 1")
+        raise OutOfRange("sigma_lattice expects p >= 2, q >= 1, got "
+                         "(%d, %d)" % (p, q))
     if q == 1:
         return 0
     i = np.arange(1, p, dtype=np.int64) * q
@@ -165,19 +166,25 @@ def signature(K):
 def alexander(p, q):
     """Alexander polynomial of T(p,q), in symmetric Laurent form.
 
-    Computed from the product formula
-        T^{-(p-1)(q-1)/2} (1-T)(1-T^{pq}) / ((1-T^p)(1-T^q)),
-    exactly, by integer long division.  Returns 1 for unknots (q <= 1).
+    T(p,q) is an L-space knot whose semigroup is S = <p, q>, so with
+    g = (p-1)(q-1)/2
+        Delta = T^{-g} [(1-T) sum_{s in S, s < 2g} T^s + T^{2g}],
+    exactly, with no division.  Each s < 2g is a*p + b*q for a single
+    a < q, so the loop visits every such s once.  Returns 1 for unknots
+    (q <= 1).
     """
     if q > p:
         p, q = q, p
     _check_coprime(p, q)
     if q <= 1:
         return LaurentPoly.one()
-    num = LaurentPoly.one_minus_power(1) * LaurentPoly.one_minus_power(p * q)
-    den = LaurentPoly.one_minus_power(p) * LaurentPoly.one_minus_power(q)
-    quot = num.exact_div(den)
-    return quot.shift(-((p - 1) * (q - 1) // 2))
+    g = (p - 1) * (q - 1) // 2
+    terms = {g: 1}
+    for ap in range(0, 2 * g, p):
+        for e in range(ap - g, g, q):  # e = s - g for s = ap + bq < 2g
+            terms[e] = terms.get(e, 0) + 1
+            terms[e + 1] = terms.get(e + 1, 0) - 1
+    return LaurentPoly(terms)
 
 
 def alexander_family(k):

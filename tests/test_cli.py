@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from crosscap4 import heegaard
 from crosscap4.cli import main
 
 
@@ -87,6 +90,14 @@ def test_alexander(capsys):
     assert "t0 = 1" in out
 
 
+def test_alexander_engine_mismatch_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(heegaard, "t0", lambda p, q: 2)
+    code, out, err = run(capsys, "alexander", "4", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: t0 engines disagree")
+
+
 def test_dinv(capsys):
     code, out, _ = run(capsys, "dinv", "4", "3")
     assert code == 0
@@ -114,3 +125,16 @@ def test_audit_out_of_range(capsys):
     code, _, err = run(capsys, "audit", "--g", "2", "--m", "1", "--d", "0")
     assert code == 2
     assert err != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "4", "3", "--from", "10", "--to", "1"],
+    ["table", "--family", "2k", "--kmax", "1"],
+    ["audit", "--g", "-1", "--m", "1", "--d", "0"],
+    ["signature", "1", "0"],
+])
+def test_out_of_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

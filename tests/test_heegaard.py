@@ -6,7 +6,8 @@ import pytest
 from crosscap4.errors import OddSignature, OutOfRange
 from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
                                 d_pm1, d_zero_surgery, t0)
-from crosscap4.torus import Hand, TorusKnotClass, UNKNOT, mirror, sigma_rec
+from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander, mirror,
+                             sigma_rec)
 
 
 def test_t0_values():
@@ -22,6 +23,18 @@ def test_t0_symmetric_and_positive():
             if math.gcd(p, q) == 1:
                 assert t0(p, q) == t0(q, p)
                 assert t0(p, q) >= 1
+
+
+def test_t0_floor_sum_matches_alexander_oracle():
+    for p in range(2, 61):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                assert t0(p, q) == alexander(p, q).t0(), (p, q)
+
+
+def test_t0_family_at_scale():
+    k = 10 ** 9
+    assert t0(2 * k, 2 * k - 1) == (k * k - k) // 2
 
 
 def test_d_zero_surgery():
@@ -73,6 +86,8 @@ def test_d_b_circle_bundle():
     assert d_b_circle_bundle(0, 4) == Fraction(-3, 4)
     with pytest.raises(OutOfRange):
         d_b_circle_bundle(1, 2)
+    with pytest.raises(OutOfRange):
+        d_b_circle_bundle(-1, 3)
 
 
 def test_d_b_denominator_structure():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crosscap4.errors import NotInvertible
-from crosscap4.numtheory import ext_gcd, min_nonneg_rep, mod_inverse
+from crosscap4.numtheory import (ext_gcd, floor_sum, min_nonneg_rep,
+                                 mod_inverse)
 
 
 def test_ext_gcd_examples():
@@ -57,3 +58,9 @@ def test_mod_1_convention(a):
 @pytest.mark.parametrize("x,m,expect", [(-3, 7, 4), (14, 7, 0), (-1, 4, 3)])
 def test_min_nonneg_rep(x, m, expect):
     assert min_nonneg_rep(x, m) == expect
+
+
+@given(st.integers(0, 60), st.integers(1, 60), st.integers(0, 200),
+       st.integers(0, 200))
+def test_floor_sum_matches_direct_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crosscap4.errors import NotCoprime
+from crosscap4.errors import NotCoprime, OutOfRange
 from crosscap4.reports import (CSV_HEADER, emit_csv, emit_json, family_table,
                                report)
 
@@ -40,6 +40,11 @@ def test_report_canonicalizes_input():
 def test_report_not_coprime():
     with pytest.raises(NotCoprime):
         report(6, 4)
+
+
+def test_report_out_of_range():
+    with pytest.raises(OutOfRange):
+        report(0, 1)
 
 
 def test_family_table():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from crosscap4.errors import NotCoprime, NotPrimitive, ZeroClass
+from crosscap4.errors import NotCoprime, NotPrimitive, OutOfRange, ZeroClass
 from crosscap4.laurent import LaurentPoly
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
                              alexander_family, canonicalize, mirror,
@@ -85,6 +85,12 @@ class TestSigma:
             sigma_rec(6, 4)
         with pytest.raises(NotCoprime):
             sigma_lattice(6, 4)
+
+    def test_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            sigma_rec(-3, 2)
+        with pytest.raises(OutOfRange):
+            sigma_lattice(1, 0)
 
 
 class TestSignature:
