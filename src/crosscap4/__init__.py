@@ -2,7 +2,7 @@
 of torus knots, in exact integer and rational arithmetic."""
 
 from .bounds import (AuditRecord, FramedProfile, framed_lower, framed_profile,
-                     gamma4_lower, minmax_over_framings, obstruction_audit)
+                     gamma4_lower, obstruction_audit)
 from .heegaard import (d_b_circle_bundle, d_minus1_alternating, d_pm1,
                        d_zero_surgery, t0)
 from .laurent import LaurentPoly

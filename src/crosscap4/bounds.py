@@ -10,8 +10,6 @@ max(1, sigma/2 - d) taken over both chiralities.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConsistencyError, OutOfRange
 from .heegaard import d_b_circle_bundle, d_pm1
 from .torus import mirror, signature
@@ -35,23 +33,6 @@ def gamma4_lower(K):
             raise ConsistencyError("odd signature for %s" % (Kc,))
         dm1, _ = d_pm1(Kc)
         best = max(best, s // 2 - dm1)
-    return best
-
-
-def minmax_over_framings(K, n_lo, n_hi):
-    """Brute-force counterpart of gamma4_lower: for each chirality, minimize
-    framed_lower over every framing in [n_lo, n_hi], floor at 1, then take
-    the max of the two chiralities."""
-    if n_lo > n_hi:
-        raise ValueError("empty framing window [%d, %d]" % (n_lo, n_hi))
-    n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    best = 1
-    for Kc in (K, mirror(K)):
-        s = signature(Kc)
-        dm1, _ = d_pm1(Kc)
-        vals = np.maximum(np.abs(s - n), n - 2 * dm1)
-        np.maximum(vals, 0, out=vals)
-        best = max(best, int(vals.min()))
     return best
 
 

@@ -53,9 +53,7 @@ def _cmd_table(args, out):
     elif args.json:
         print(reports.emit_json(table), file=out)
     else:
-        print(reports.CSV_HEADER.replace(",", "\t"), file=out)
-        for r in table:
-            print(reports._csv_row(r).replace(",", "\t"), file=out)
+        out.write(reports.emit_csv(table).replace(",", "\t"))
     return 0
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import (ConsistencyError, NotCoprime, NotPrimitive, OutOfRange,
                      ZeroClass)
 from .laurent import LaurentPoly
@@ -132,9 +130,11 @@ def sigma_lattice(p, q):
     """Independent lattice-point count of the same signature.
 
     Counts grid points (i, j), 1 <= i < p, 1 <= j < q, with
-    p*q < 2(i*q + j*p) < 3*p*q and returns 2*N_in - (p-1)(q-1).  All
-    comparisons are exact; boundary equalities are impossible by
-    coprimality and are asserted against.
+    p*q < 2(i*q + j*p) < 3*p*q and returns 2*N_in - (p-1)(q-1).  The count
+    runs row by row over the shorter side: in each row both ends of the
+    strip are floor divisions, clipped to the rectangle, so the cost is
+    O(min(p, q)) time and O(1) memory.  Boundary equalities are impossible
+    by coprimality and are asserted against.
     """
     if p < 2 and q >= 2:
         p, q = q, p
@@ -142,16 +142,20 @@ def sigma_lattice(p, q):
     if q < 1 or p < 2:
         raise OutOfRange("sigma_lattice expects p >= 2, q >= 1, got "
                          "(%d, %d)" % (p, q))
-    if q == 1:
-        return 0
-    i = np.arange(1, p, dtype=np.int64) * q
-    j = np.arange(1, q, dtype=np.int64) * p
-    vals = 2 * np.add.outer(i, j)
-    lo = p * q
-    hi = 3 * p * q
-    if np.any(vals == lo) or np.any(vals == hi):
-        raise ConsistencyError("boundary lattice point for (%d, %d)" % (p, q))
-    n_in = int(np.count_nonzero((vals > lo) & (vals < hi)))
+    a, b = max(p, q), min(p, q)  # i runs along a, j along b
+    m = 2 * b
+    n_in = 0
+    for j in range(1, b):
+        # 1 <= i < a with lo < i*m < lo + a*m; a boundary point can only
+        # sit at i = lo/m or i = lo/m + a
+        lo = p * q - 2 * j * a
+        if lo % m == 0 and 0 < abs(lo // m) < a:
+            raise ConsistencyError("boundary lattice point for (%d, %d)"
+                                   % (p, q))
+        first = max(lo // m + 1, 1)
+        last = min((lo - 1) // m + a, a - 1)
+        if last >= first:
+            n_in += last - first + 1
     return 2 * n_in - (p - 1) * (q - 1)
 
 
@@ -163,6 +167,10 @@ def signature(K):
     return -s if K.hand is Hand.RIGHT else s
 
 
+# Delta costs O(g) time and memory, about 100 MB at this limit.
+ALEXANDER_MAX_GENUS = 10 ** 6
+
+
 def alexander(p, q):
     """Alexander polynomial of T(p,q), in symmetric Laurent form.
 
@@ -171,7 +179,7 @@ def alexander(p, q):
         Delta = T^{-g} [(1-T) sum_{s in S, s < 2g} T^s + T^{2g}],
     exactly, with no division.  Each s < 2g is a*p + b*q for a single
     a < q, so the loop visits every such s once.  Returns 1 for unknots
-    (q <= 1).
+    (q <= 1); raises OutOfRange when g exceeds ALEXANDER_MAX_GENUS.
     """
     if q > p:
         p, q = q, p
@@ -179,6 +187,9 @@ def alexander(p, q):
     if q <= 1:
         return LaurentPoly.one()
     g = (p - 1) * (q - 1) // 2
+    if g > ALEXANDER_MAX_GENUS:
+        raise OutOfRange("alexander accepts genus (p-1)(q-1)/2 <= %d, got %d"
+                         % (ALEXANDER_MAX_GENUS, g))
     terms = {g: 1}
     for ap in range(0, 2 * g, p):
         for e in range(ap - g, g, q):  # e = s - g for s = ap + bq < 2g

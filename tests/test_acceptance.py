@@ -8,8 +8,7 @@ import math
 
 import pytest
 
-from crosscap4.bounds import (gamma4_lower, minmax_over_framings,
-                              obstruction_audit)
+from crosscap4.bounds import gamma4_lower, obstruction_audit
 from crosscap4.cli import main
 from crosscap4.errors import ParityError
 from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
@@ -20,6 +19,7 @@ from crosscap4.reports import emit_json, family_table, report
 from crosscap4.torus import (Hand, TorusKnotClass, alexander,
                              alexander_family, canonicalize, mirror,
                              sigma_lattice, sigma_rec, signature)
+from oracles import minmax_over_framings
 
 
 def coprime_pairs(limit):

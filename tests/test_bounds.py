@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from crosscap4.bounds import (framed_lower, framed_profile, gamma4_lower,
-                              minmax_over_framings, obstruction_audit)
+                              obstruction_audit)
 from crosscap4.errors import OutOfRange
 from crosscap4.heegaard import d_pm1
 from crosscap4.torus import (Hand, TorusKnotClass, canonicalize, mirror,
                              signature)
+from oracles import minmax_over_framings
 
 
 def test_framed_lower_moebius_band_tight():

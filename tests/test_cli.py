@@ -50,6 +50,14 @@ def test_table_csv(capsys):
     assert len(lines) == 4
 
 
+def test_table_tsv_is_csv_with_tabs(capsys):
+    _, csv_out, _ = run(capsys, "table", "--family", "2k", "--kmax", "4",
+                        "--csv")
+    code, out, _ = run(capsys, "table", "--family", "2k", "--kmax", "4")
+    assert code == 0
+    assert out == csv_out.replace(",", "\t")
+
+
 def test_scan(capsys):
     code, out, _ = run(capsys, "scan", "--max", "6")
     assert code == 0
@@ -132,6 +140,7 @@ def test_audit_out_of_range(capsys):
     ["table", "--family", "2k", "--kmax", "1"],
     ["audit", "--g", "-1", "--m", "1", "--d", "0"],
     ["signature", "1", "0"],
+    ["alexander", "4001", "1001"],
 ])
 def test_out_of_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

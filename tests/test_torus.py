@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import crosscap4
 from crosscap4.errors import NotCoprime, NotPrimitive, OutOfRange, ZeroClass
 from crosscap4.laurent import LaurentPoly
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
@@ -80,6 +85,20 @@ class TestSigma:
         for k in range(2, 51):
             assert sigma_rec(2 * k, 2 * k - 1) == 2 * k * k - 2
 
+    def test_lattice_family_large(self):
+        k = 50000  # a full (2k-1)^2 grid would not fit in memory
+        assert sigma_lattice(2 * k, 2 * k - 1) == 2 * k * k - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 10 ** 4), st.data())
+    def test_engines_agree_property(self, p, data):
+        # d <= 20 gives the near-diagonal pairs q = p - d
+        d = data.draw(st.one_of(st.integers(1, min(20, p - 1)),
+                                st.integers(1, p - 1)))
+        q = p - d
+        assume(math.gcd(p, q) == 1)
+        assert sigma_lattice(p, q) == sigma_rec(p, q)
+
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             sigma_rec(6, 4)
@@ -133,6 +152,15 @@ class TestAlexander:
             fam = alexander_family(k)
             assert fam == alexander(2 * k, 2 * k - 1), k
             assert fam.eval_at_one() == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(crosscap4.__file__))
+    code = "import sys, crosscap4.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("p,q,expect", [(3, 2, 1), (4, 3, 3), (10, 9, 36)])
