@@ -6,7 +6,7 @@ from .bounds import (AuditRecord, FramedProfile, framed_lower, framed_profile,
 from .heegaard import (d_b_circle_bundle, d_minus1_alternating, d_pm1,
                        d_zero_surgery, t0)
 from .laurent import LaurentPoly
-from .numtheory import ext_gcd, min_nonneg_rep, mod_inverse
+from .numtheory import mod_inverse
 from .pinch import (GAMMA3, GAMMA4, PinchSequence, PinchStep, gamma3_upper,
                     gamma4_upper, pinch_sequence, pinch_step)
 from .reports import (BoundReport, emit_csv, emit_json, family_table, report)

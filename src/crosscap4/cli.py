@@ -9,8 +9,12 @@ import math
 import sys
 
 from . import bounds, heegaard, pinch, reports, torus
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, OutOfRange
 from .torus import Hand, canonicalize, mirror
+
+# scan makes about 0.3 * max^2 reports, each walking up to p pinch steps:
+# `scan --max 300 --csv` (27,000 rows) takes about 3 s.
+SCAN_MAX = 300
 
 
 def _knot(args):
@@ -58,6 +62,9 @@ def _cmd_table(args, out):
 
 
 def _cmd_scan(args, out):
+    if args.max > SCAN_MAX:
+        raise OutOfRange("scan accepts --max <= %d, got %d"
+                         % (SCAN_MAX, args.max))
     table = []
     for p in range(3, args.max + 1):
         for q in range(2, p):
@@ -80,9 +87,8 @@ def _cmd_pinch(args, out):
     K = canonicalize(args.p, args.q)
     mode = pinch.GAMMA3 if args.gamma3 else pinch.GAMMA4
     seq = pinch.pinch_sequence(K, mode)
-    for step in seq.steps:
-        print("(%d,%d) --t=%d,h=%d--> (%d,%d)"
-              % (step.from_pair + (step.t, step.h) + step.raw_to), file=out)
+    out.write("".join("(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
+                      % (fp + (t, h) + raw) for fp, t, h, raw in seq.steps))
     return 0
 
 

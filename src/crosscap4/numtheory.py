@@ -1,26 +1,12 @@
-"""Exact integer helpers: extended gcd, modular inverses, residues.
+"""Exact integer helpers: modular inverses and floor sums.
 
 Everything here is pure and total on the documented domains; all arithmetic
 uses Python's arbitrary-precision integers.
 """
 
+import math
+
 from .errors import NotInvertible
-
-
-def ext_gcd(a, b):
-    """Extended Euclid: return (g, x, y) with g = gcd(|a|, |b|) >= 0 and
-    a*x + b*y = g.  ext_gcd(0, 0) = (0, 1, 0)."""
-    sa = -1 if a < 0 else 1
-    sb = -1 if b < 0 else 1
-    old_r, r = abs(a), abs(b)
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    return old_r, sa * old_x, sb * old_y
 
 
 def mod_inverse(a, m):
@@ -31,19 +17,11 @@ def mod_inverse(a, m):
     """
     if m < 1:
         raise ValueError("modulus must be >= 1, got %d" % m)
-    if m == 1:
-        return 0
-    g, x, _ = ext_gcd(a, m)
-    if g != 1:
-        raise NotInvertible("%d has no inverse mod %d (gcd = %d)" % (a, m, g))
-    return x % m
-
-
-def min_nonneg_rep(x, m):
-    """Minimal nonnegative representative of x modulo m (m >= 1)."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1, got %d" % m)
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertible("%d has no inverse mod %d (gcd = %d)"
+                            % (a, m, math.gcd(a, m))) from None
 
 
 def floor_sum(n, m, a, b):

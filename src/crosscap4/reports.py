@@ -11,6 +11,10 @@ from .heegaard import d_pm1, t0
 from .pinch import GAMMA3, GAMMA4, pinch_sequence
 from .torus import Hand, canonicalize, mirror, signature
 
+# Row k walks about k pinch steps, so a table costs O(k_max^2):
+# `table --family 2k --kmax 1000 --json` takes about 5 s.
+FAMILY_MAX_K = 1000
+
 CSV_HEADER = ("p,q,sigma_right,sigma_left,t0,d_minus1_right,d_minus1_left,"
               "gamma4_lower,gamma4_upper,exact,gamma3_upper")
 
@@ -54,7 +58,8 @@ def report(p, q):
     # of the GAMMA3 walk through its first unknot (same steps, same start).
     even = (K.p * K.q) % 2 == 0
     steps = pinch_sequence(K, GAMMA3 if even else GAMMA4).steps
-    n4 = next((i + 1 for i, step in enumerate(steps) if step.to.is_unknot),
+    n4 = next((i + 1 for i, step in enumerate(steps)
+               if min(map(abs, step.raw_to)) <= 1),  # landed on an unknot
               len(steps))
     upper = max(1, n4)
     if lower > upper:
@@ -82,9 +87,10 @@ def report(p, q):
 
 
 def family_table(k_max):
-    """Reports for the family T(2k, 2k-1), k = 2..k_max."""
-    if k_max < 2:
-        raise OutOfRange("need k_max >= 2, got %d" % k_max)
+    """Reports for the family T(2k, 2k-1), k = 2..k_max <= FAMILY_MAX_K."""
+    if not 2 <= k_max <= FAMILY_MAX_K:
+        raise OutOfRange("need 2 <= k_max <= %d, got %d"
+                         % (FAMILY_MAX_K, k_max))
     return [report(2 * k, 2 * k - 1) for k in range(2, k_max + 1)]
 
 

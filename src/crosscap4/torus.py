@@ -89,7 +89,10 @@ def sigma_rec(p, q):
         sigma(p, 1) = 0;  sigma(p, 2) = p - 1
         sigma(p, q) = sigma(p-2q, q) + q^2 - [q odd]     if 2q < p
         sigma(p, q) = -sigma(2q-p, q) + q^2 - 2 + [q odd]  if q < p < 2q
-    Runs iteratively (batched descent), so stack depth never grows.
+    Runs iteratively, and both recursive branches are batched: all
+    descents by 2q at once, and all reflections that keep d = p - q in one
+    closed-form alternating sum.  Each pass reduces the pair like a step of
+    Euclid's algorithm, so the cost is O(log p) with no stack growth.
     """
     if p < 0 or q < 0:
         raise OutOfRange("sigma_rec expects nonnegative arguments, got "
@@ -115,15 +118,30 @@ def sigma_rec(p, q):
             total += sign * steps * (q * q - (q % 2))
             p = r
         elif p < 2 * q:
-            total += sign * (q * q - 2 + (q % 2))
-            sign = -sign
-            p = 2 * q - p
+            # batch the n reflections (a + d, a) -> (a, a - d), a = q - i*d
+            # for i < n, that keep d = p - q: terms alternate in sign, and
+            # each pair of them, g(a) - g(a - d) with
+            # g(a) = a^2 - 2 + [a odd], is 2ad - d^2 + e, e = +-[d odd]
+            d = p - q
+            n = (q - 1) // d
+            m = n // 2
+            e = (1 if q % 2 else -1) if d % 2 else 0
+            total += sign * (m * (2 * d * q - d * d + e)
+                             - 2 * d * d * m * (m - 1))
+            p, q = q - (n - 1) * d, q - n * d
+            if n % 2:
+                total += sign * (p * p - 2 + (p % 2))
+                sign = -sign
         else:
             raise ConsistencyError("p = 2q cannot occur for coprime q >= 2")
     result = total + sign * base
     if result % 2:
         raise ConsistencyError("odd signature value for (%d, %d)" % (p, q))
     return result
+
+
+# The row count takes about 1 s at this shorter side.
+LATTICE_MAX_SIDE = 10 ** 6
 
 
 def sigma_lattice(p, q):
@@ -134,7 +152,8 @@ def sigma_lattice(p, q):
     runs row by row over the shorter side: in each row both ends of the
     strip are floor divisions, clipped to the rectangle, so the cost is
     O(min(p, q)) time and O(1) memory.  Boundary equalities are impossible
-    by coprimality and are asserted against.
+    by coprimality and are asserted against.  Raises OutOfRange when the
+    shorter side exceeds LATTICE_MAX_SIDE.
     """
     if p < 2 and q >= 2:
         p, q = q, p
@@ -143,6 +162,9 @@ def sigma_lattice(p, q):
         raise OutOfRange("sigma_lattice expects p >= 2, q >= 1, got "
                          "(%d, %d)" % (p, q))
     a, b = max(p, q), min(p, q)  # i runs along a, j along b
+    if b > LATTICE_MAX_SIDE:
+        raise OutOfRange("sigma_lattice accepts min(p, q) <= %d, got %d"
+                         % (LATTICE_MAX_SIDE, b))
     m = 2 * b
     n_in = 0
     for j in range(1, b):

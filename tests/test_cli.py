@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap4 import heegaard
-from crosscap4.cli import main
+from crosscap4.cli import SCAN_MAX, main
+from crosscap4.pinch import PINCH_MAX_P
+from crosscap4.reports import FAMILY_MAX_K
+from crosscap4.torus import LATTICE_MAX_SIDE
 
 
 def run(capsys, *argv):
@@ -141,9 +147,34 @@ def test_audit_out_of_range(capsys):
     ["audit", "--g", "-1", "--m", "1", "--d", "0"],
     ["signature", "1", "0"],
     ["alexander", "4001", "1001"],
+    ["pinch", str(PINCH_MAX_P + 1), str(PINCH_MAX_P)],
+    ["pinch", str(PINCH_MAX_P + 1), str(PINCH_MAX_P), "--gamma3"],
+    ["report", str(PINCH_MAX_P + 1), str(PINCH_MAX_P)],
+    ["report", str(PINCH_MAX_P + 1), str(PINCH_MAX_P), "--json"],
+    ["signature", str(LATTICE_MAX_SIDE + 2), str(LATTICE_MAX_SIDE + 1)],
+    ["table", "--family", "2k", "--kmax", str(FAMILY_MAX_K + 1)],
+    ["scan", "--max", str(SCAN_MAX + 1)],
 ])
 def test_out_of_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([["pinch"], ["pinch", "--gamma3"], ["signature"],
+                        ["report"], ["report", "--json"], ["alexander"],
+                        ["dinv"]]),
+       st.integers(), st.integers())
+def test_exit_code_contract(cmd, p, q):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([cmd[0], str(p), str(q)] + cmd[1:])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        prefix = "error: " if code == 2 else "internal error: "
+        assert code in (2, 3) and out.getvalue() == ""
+        assert err.startswith(prefix) and err.count("\n") == 1

@@ -1,0 +1,57 @@
+"""Byte-identity guard for the CLI certificates.
+
+Runs the CLI in process over every 0 <= p, q <= 21 (and every scan/table
+size up to 21) and compares one sha256 over the argument lists, exit codes
+and stdout with a recorded digest.  A change to any certificate byte, to an
+exit code, or to the set of inputs that succeed changes the digest; a
+deliberate output change must re-record it and say why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from crosscap4 import cli
+
+N = 21
+GOLDEN_SHA256 = (
+    "235fe92cb5fcd4ebfef112f5dc496cc77e28bf4b22a22d74e04488002de33c02")
+
+
+def _argv_lists():
+    for p in range(N + 1):
+        for q in range(N + 1):
+            a, b = str(p), str(q)
+            yield ["report", a, b]
+            yield ["report", a, b, "--json"]
+            yield ["pinch", a, b]
+            yield ["pinch", a, b, "--gamma3"]
+            yield ["signature", a, b]
+            yield ["alexander", a, b]
+            yield ["dinv", a, b]
+    for m in map(str, range(N + 1)):
+        yield ["scan", "--max", m, "--csv"]
+        yield ["table", "--family", "2k", "--kmax", m]
+        yield ["table", "--family", "2k", "--kmax", m, "--csv"]
+        yield ["table", "--family", "2k", "--kmax", m, "--json"]
+
+
+def cli_digest():
+    h = hashlib.sha256()
+    for argv in _argv_lists():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        h.update(("%s\0%d\0" % (" ".join(argv), code)).encode())
+        h.update(out.getvalue().encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_cli_output_is_byte_identical(monkeypatch):
+    # Building the argparse tree costs more than most of these calls; one
+    # parser serves them all, since parse_args keeps no state between calls.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert cli_digest() == GOLDEN_SHA256

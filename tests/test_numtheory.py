@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crosscap4.errors import NotInvertible
-from crosscap4.numtheory import (ext_gcd, floor_sum, min_nonneg_rep,
-                                 mod_inverse)
+from crosscap4.numtheory import floor_sum, mod_inverse
+from oracles import ext_gcd
 
 
 def test_ext_gcd_examples():
@@ -55,9 +55,14 @@ def test_mod_1_convention(a):
     assert mod_inverse(a, 1) == 0
 
 
-@pytest.mark.parametrize("x,m,expect", [(-3, 7, 4), (14, 7, 0), (-1, 4, 3)])
-def test_min_nonneg_rep(x, m, expect):
-    assert min_nonneg_rep(x, m) == expect
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
+def test_mod_inverse_matches_ext_gcd(a, m):
+    g, x, _ = ext_gcd(a, m)
+    if g != 1:
+        with pytest.raises(NotInvertible):
+            mod_inverse(a, m)
+    else:
+        assert mod_inverse(a, m) == x % m
 
 
 @given(st.integers(0, 60), st.integers(1, 60), st.integers(0, 200),

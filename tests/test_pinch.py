@@ -1,12 +1,13 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from crosscap4.bounds import gamma4_lower
-from crosscap4.errors import InvalidForm, NotCoprime, ParityError
-from crosscap4.pinch import (GAMMA3, GAMMA4, gamma3_upper, gamma4_upper,
-                             pinch_sequence, pinch_step)
-from crosscap4.torus import UNKNOT, canonicalize
+from crosscap4.errors import InvalidForm, NotCoprime, OutOfRange, ParityError
+from crosscap4.pinch import (GAMMA3, GAMMA4, PINCH_MAX_P, gamma3_upper,
+                             gamma4_upper, pinch_sequence, pinch_step)
+from crosscap4.torus import UNKNOT, Hand, canonicalize
 
 
 def test_step_t43():
@@ -34,6 +35,39 @@ def test_step_errors():
         pinch_step(6, 4)
     with pytest.raises(InvalidForm):
         pinch_step(3, 5)
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 10 ** 12), st.data())
+def test_step_fields_property(p, data):
+    q = data.draw(st.one_of(st.just(1), st.integers(1, p - 1),
+                            st.integers(max(1, p - 20), p - 1)))
+    assume(math.gcd(p, q) == 1)
+    step = pinch_step(p, q)
+    t, h = step.t, step.h
+    assert step.from_pair == (p, q)
+    if q == 1:
+        assert (t, h) == (p - 1, 0)
+    else:
+        assert p * h - q * t == 1
+        assert 0 <= t < p and 0 <= h < q
+    r, s = step.raw_to
+    assert (r, s) == (p - 2 * t, q - 2 * h)
+    assert step.to == canonicalize(r, s)
+    assert step.mirrored == (r * s < 0)
+    if not step.to.is_unknot:
+        assert (step.to.hand is Hand.LEFT) == step.mirrored
+
+
+def test_sequence_declared_domain():
+    n = PINCH_MAX_P
+    assert math.gcd(n, 3) == math.gcd(n + 1, 3) == 1
+    seq = pinch_sequence(canonicalize(n, 3), GAMMA4)  # one step
+    assert seq.terminal[1] <= 1
+    with pytest.raises(OutOfRange):
+        pinch_sequence(canonicalize(n + 1, 3), GAMMA4)
+    with pytest.raises(OutOfRange):
+        gamma4_upper(canonicalize(n + 1, 3))
 
 
 def test_sequence_family():

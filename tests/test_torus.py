@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 import crosscap4
 from crosscap4.errors import NotCoprime, NotPrimitive, OutOfRange, ZeroClass
 from crosscap4.laurent import LaurentPoly
-from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
-                             alexander_family, canonicalize, mirror,
-                             seifert_genus, sigma_lattice, sigma_rec,
+from crosscap4.torus import (LATTICE_MAX_SIDE, Hand, TorusKnotClass, UNKNOT,
+                             alexander, alexander_family, canonicalize,
+                             mirror, seifert_genus, sigma_lattice, sigma_rec,
                              signature)
 
 
@@ -84,6 +84,18 @@ class TestSigma:
     def test_family_closed_form(self):
         for k in range(2, 51):
             assert sigma_rec(2 * k, 2 * k - 1) == 2 * k * k - 2
+
+    def test_family_closed_form_huge(self):
+        # one batched pass per Euclid-like step, not k reflections
+        k = 10 ** 9
+        assert sigma_rec(2 * k, 2 * k - 1) == 2 * k * k - 2
+
+    def test_lattice_declared_domain(self):
+        n = LATTICE_MAX_SIDE
+        with pytest.raises(OutOfRange):
+            sigma_lattice(n + 2, n + 1)
+        with pytest.raises(OutOfRange):
+            sigma_lattice(n + 1, n + 2)
 
     def test_lattice_family_large(self):
         k = 50000  # a full (2k-1)^2 grid would not fit in memory
