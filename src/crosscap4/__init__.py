@@ -1,17 +1,15 @@
 """Certified lower and upper bounds for the nonorientable four-ball genus
 of torus knots, in exact integer and rational arithmetic."""
 
-from .bounds import (AuditRecord, FramedProfile, framed_lower, framed_profile,
-                     gamma4_lower, obstruction_audit)
-from .heegaard import (d_b_circle_bundle, d_minus1_alternating, d_pm1,
-                       d_zero_surgery, t0)
+from .bounds import (AuditRecord, FramedProfile, framed_profile, gamma4_lower,
+                     obstruction_audit)
+from .heegaard import d_b_circle_bundle, d_minus1_alternating, d_pm1, t0
 from .laurent import LaurentPoly
-from .numtheory import mod_inverse
 from .pinch import (GAMMA3, GAMMA4, PinchSequence, PinchStep, gamma3_upper,
                     gamma4_upper, pinch_sequence, pinch_step)
 from .reports import (BoundReport, emit_csv, emit_json, family_table, report)
 from .torus import (Hand, TorusKnotClass, UNKNOT, alexander, alexander_family,
-                    canonicalize, mirror, seifert_genus, sigma_lattice,
-                    sigma_rec, signature)
+                    canonicalize, mirror, sigma_lattice, sigma_rec,
+                    signature)
 
 __version__ = "0.1.0"

@@ -17,21 +17,12 @@ from .torus import Hand, canonicalize, mirror
 SCAN_MAX = 300
 
 
-def _knot(args):
-    K = canonicalize(args.p, args.q)
-    if getattr(args, "mirror", False):
-        K = torus.mirror(K)
-    return K
-
-
 def _cmd_report(args, out):
     r = reports.report(args.p, args.q)
     if args.json:
         print(reports.emit_json(r), file=out)
         return 0
-    label = "mirror T(%d,%d)" % (r.p, r.q) if args.mirror else \
-        "T(%d,%d)" % (r.p, r.q)
-    print("knot: %s" % label, file=out)
+    print("knot: T(%d,%d)" % (r.p, r.q), file=out)
     print("signature: right %d, left %d" % (r.sigma_right, r.sigma_left),
           file=out)
     print("t0: %d" % r.t0, file=out)
@@ -125,7 +116,9 @@ def _cmd_dinv(args, out):
 
 
 def _cmd_profile(args, out):
-    K = _knot(args)
+    K = canonicalize(args.p, args.q)
+    if args.mirror:
+        K = mirror(K)
     prof = bounds.framed_profile(K, args.n_from, args.n_to)
     if args.csv:
         print("n,sig_bound,d_bound,combined", file=out)
@@ -167,8 +160,6 @@ def build_parser():
     s = subs.add_parser("report", help="bound certificate for T(p,q)")
     _add_pq(s)
     s.add_argument("--json", action="store_true")
-    s.add_argument("--mirror", action="store_true",
-                   help="label the input as the left-handed knot")
     s.set_defaults(func=_cmd_report)
 
     s = subs.add_parser("table", help="family table")

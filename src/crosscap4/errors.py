@@ -22,10 +22,6 @@ class ZeroClass(InputError):
     pass
 
 
-class NotInvertible(InputError):
-    pass
-
-
 class InvalidForm(InputError):
     pass
 
@@ -38,13 +34,14 @@ class ParityError(InputError):
     pass
 
 
-class NotSymmetric(ValueError):
-    """Polynomial is not invariant under T -> 1/T."""
-
-
 class OddSignature(ValueError):
     pass
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; results cannot be trusted."""
+
+
+class NotSymmetric(ConsistencyError):
+    """Polynomial is not invariant under T -> 1/T; an Alexander polynomial
+    always is."""

@@ -1,7 +1,7 @@
 """Heegaard-Floer correction terms used by the genus bounds.
 
 Torus knots admit positive lens space surgeries, so the d-invariants of
-their 0- and (+-1)-surgeries are read off from the torsion coefficient t0
+their (+-1)-surgeries are read off from the torsion coefficient t0
 of the Alexander polynomial.  Rationals are exact (fractions.Fraction).
 """
 
@@ -30,16 +30,6 @@ def t0(p, q):
     return n + floor_sum(n, q, p, (g - 1) % p)
 
 
-def d_zero_surgery(p, q):
-    """d-invariants of 0-surgery on T(p,q) in its two spin-c structures.
-
-    Returns (d at -1/2 grading, d at +1/2 grading) =
-    (-1/2, 1/2 - 2*t0).
-    """
-    t = t0(p, q)
-    return Fraction(-1, 2), Fraction(1, 2) - 2 * t
-
-
 def d_pm1(K):
     """d-invariants (d of -1-surgery, d of +1-surgery) of the knot K.
 
@@ -49,14 +39,15 @@ def d_pm1(K):
     """
     if K.is_unknot:
         return 0, 0
-    t = t0(K.p, K.q)
-    if K.hand is Hand.RIGHT:
-        pair = (0, -2 * t)
-    else:
-        pair = (2 * t, 0)
+    return _hand_d_pm1(K.hand, t0(K.p, K.q))
+
+
+def _hand_d_pm1(hand, t):
+    """d_pm1 of the torus knot of this hand whose torsion coefficient is t."""
+    pair = (0, -2 * t) if hand is Hand.RIGHT else (2 * t, 0)
     for v in pair:
         if v % 2:
-            raise ConsistencyError("odd d-invariant %r for %s" % (v, K))
+            raise ConsistencyError("odd d-invariant %r (t0 = %r)" % (v, t))
     return pair
 
 

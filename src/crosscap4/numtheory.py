@@ -1,27 +1,8 @@
-"""Exact integer helpers: modular inverses and floor sums.
+"""Exact integer helpers: floor sums.
 
 Everything here is pure and total on the documented domains; all arithmetic
 uses Python's arbitrary-precision integers.
 """
-
-import math
-
-from .errors import NotInvertible
-
-
-def mod_inverse(a, m):
-    """Inverse of a modulo m, as the representative in [0, m).
-
-    mod_inverse(a, 1) = 0 for every a (all residues coincide mod 1).
-    Raises NotInvertible when gcd(a, m) != 1.
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1, got %d" % m)
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertible("%d has no inverse mod %d (gcd = %d)"
-                            % (a, m, math.gcd(a, m))) from None
 
 
 def floor_sum(n, m, a, b):

@@ -5,11 +5,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import gamma4_lower
+from .bounds import _gamma4_lower
 from .errors import ConsistencyError, NotCoprime, OutOfRange
-from .heegaard import d_pm1, t0
+from .heegaard import _hand_d_pm1, t0
 from .pinch import GAMMA3, GAMMA4, pinch_sequence
-from .torus import Hand, canonicalize, mirror, signature
+from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 
 # Row k walks about k pinch steps, so a table costs O(k_max^2):
 # `table --family 2k --kmax 1000 --json` takes about 5 s.
@@ -38,21 +38,17 @@ class BoundReport:
 def report(p, q):
     """Certificate for T(p,q): signature, t0, d-invariants, lower and upper
     genus bounds, exactness flag, and the pinch trace behind the upper
-    bound.  The input pair is canonicalized first."""
+    bound.  The input pair is canonicalized first.  Both chiralities and
+    the lower bound come from one sigma_rec and one t0."""
     if p < 1 or q < 1:
         raise OutOfRange("need p, q >= 1, got (%d, %d)" % (p, q))
     if math.gcd(p, q) != 1:
         raise NotCoprime("(%d, %d) are not coprime" % (p, q))
     K = canonicalize(p, q)
-    Km = mirror(K)
-    right, left = (K, Km) if K.hand is Hand.RIGHT else (Km, K)
-
-    sigma_right = signature(right)
-    sigma_left = signature(left)
-    t0_val = t0(K.p, K.q)
-    d_right, _ = d_pm1(right)
-    d_left, _ = d_pm1(left)
-    lower = gamma4_lower(K)
+    sigma, t0_val = sigma_rec(K.p, K.q), t0(K.p, K.q)
+    d_right, _ = _hand_d_pm1(Hand.RIGHT, t0_val)
+    d_left, _ = _hand_d_pm1(Hand.LEFT, t0_val)
+    lower = _gamma4_lower(sigma, t0_val)
 
     # One pinch walk serves both upper bounds: the GAMMA4 walk is the prefix
     # of the GAMMA3 walk through its first unknot (same steps, same start).
@@ -76,7 +72,8 @@ def report(p, q):
 
     return BoundReport(
         p=K.p, q=K.q,
-        sigma_right=sigma_right, sigma_left=sigma_left,
+        sigma_right=_signed_sigma(Hand.RIGHT, sigma),
+        sigma_left=_signed_sigma(Hand.LEFT, sigma),
         t0=t0_val,
         d_minus1_right=d_right, d_minus1_left=d_left,
         gamma4_lower=lower, gamma4_upper=upper,

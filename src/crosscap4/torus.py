@@ -185,8 +185,12 @@ def signature(K):
     """Signature of the knot; negative for positive (RIGHT) torus knots."""
     if K.is_unknot:
         return 0
-    s = sigma_rec(K.p, K.q)
-    return -s if K.hand is Hand.RIGHT else s
+    return _signed_sigma(K.hand, sigma_rec(K.p, K.q))
+
+
+def _signed_sigma(hand, s):
+    """Signature of the torus knot of this hand whose sigma_rec is s."""
+    return -s if hand is Hand.RIGHT else s
 
 
 # Delta costs O(g) time and memory, about 100 MB at this limit.
@@ -237,13 +241,3 @@ def alexander_family(k):
         terms[-top] = 1
         terms[-top + (k - j)] = -1
     return LaurentPoly(terms)
-
-
-def seifert_genus(p, q):
-    """Orientable genus (p-1)(q-1)/2 of the torus knot's Seifert surface."""
-    if q > p:
-        p, q = q, p
-    _check_coprime(p, q)
-    if q <= 1:
-        return 0
-    return (p - 1) * (q - 1) // 2

@@ -3,13 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from crosscap4.bounds import (framed_lower, framed_profile, gamma4_lower,
-                              obstruction_audit)
+from crosscap4 import bounds
+from crosscap4.bounds import framed_profile, gamma4_lower, obstruction_audit
 from crosscap4.errors import OutOfRange
 from crosscap4.heegaard import d_pm1
 from crosscap4.torus import (Hand, TorusKnotClass, canonicalize, mirror,
                              signature)
 from oracles import minmax_over_framings
+
+
+def framed_lower(K, n):
+    """The combined bound of the single-row profile at framing n."""
+    (row,) = framed_profile(K, n, n).rows
+    assert row[0] == n
+    return row[3]
 
 
 def test_framed_lower_moebius_band_tight():
@@ -77,6 +84,15 @@ def test_framed_profile_rows():
     assert [r[0] for r in prof.rows] == [3, 4, 5]
     n, sig_b, d_b, comb = prof.rows[1]
     assert (sig_b, d_b, comb) == (2, 0, 2)
+
+
+def test_framed_profile_row_limit(monkeypatch):
+    # a small limit checks the boundary without building 10^6 rows
+    monkeypatch.setattr(bounds, "PROFILE_MAX_ROWS", 3)
+    K = canonicalize(4, 3)
+    assert len(framed_profile(K, -1, 1).rows) == 3
+    with pytest.raises(OutOfRange):
+        framed_profile(K, -1, 2)
 
 
 class TestObstructionAudit:

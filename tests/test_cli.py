@@ -5,8 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap4 import heegaard
+from crosscap4 import heegaard, torus
+from crosscap4.bounds import PROFILE_MAX_ROWS
 from crosscap4.cli import SCAN_MAX, main
+from crosscap4.laurent import LaurentPoly
 from crosscap4.pinch import PINCH_MAX_P
 from crosscap4.reports import FAMILY_MAX_K
 from crosscap4.torus import LATTICE_MAX_SIDE
@@ -112,6 +114,14 @@ def test_alexander_engine_mismatch_exits_3(capsys, monkeypatch):
     assert err.startswith("internal error: t0 engines disagree")
 
 
+def test_alexander_asymmetric_polynomial_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(torus, "alexander", lambda p, q: LaurentPoly({1: 1}))
+    code, out, err = run(capsys, "alexander", "4", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
 def test_dinv(capsys):
     code, out, _ = run(capsys, "dinv", "4", "3")
     assert code == 0
@@ -154,6 +164,7 @@ def test_audit_out_of_range(capsys):
     ["signature", str(LATTICE_MAX_SIDE + 2), str(LATTICE_MAX_SIDE + 1)],
     ["table", "--family", "2k", "--kmax", str(FAMILY_MAX_K + 1)],
     ["scan", "--max", str(SCAN_MAX + 1)],
+    ["profile", "4", "3", "--from", "1", "--to", str(PROFILE_MAX_ROWS + 1)],
 ])
 def test_out_of_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -2,7 +2,9 @@
 
 Runs the CLI in process over every 0 <= p, q <= 21 (and every scan/table
 size up to 21) and compares one sha256 over the argument lists, exit codes
-and stdout with a recorded digest.  A change to any certificate byte, to an
+and stdout with a recorded digest.  A second digest covers `profile` (with
+and without --csv and --mirror) for 0 <= p, q <= 9 and `audit` on a small
+grid.  A change to any certificate byte, to an
 exit code, or to the set of inputs that succeed changes the digest; a
 deliberate output change must re-record it and say why.
 """
@@ -10,6 +12,8 @@ deliberate output change must re-record it and say why.
 import contextlib
 import hashlib
 import io
+
+import pytest
 
 from crosscap4 import cli
 
@@ -36,9 +40,9 @@ def _argv_lists():
         yield ["table", "--family", "2k", "--kmax", m, "--json"]
 
 
-def cli_digest():
+def cli_digest(argv_lists):
     h = hashlib.sha256()
-    for argv in _argv_lists():
+    for argv in argv_lists:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -49,9 +53,38 @@ def cli_digest():
     return h.hexdigest()
 
 
-def test_cli_output_is_byte_identical(monkeypatch):
+@pytest.fixture
+def one_parser(monkeypatch):
     # Building the argparse tree costs more than most of these calls; one
     # parser serves them all, since parse_args keeps no state between calls.
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
-    assert cli_digest() == GOLDEN_SHA256
+
+
+def test_cli_output_is_byte_identical(one_parser):
+    assert cli_digest(_argv_lists()) == GOLDEN_SHA256
+
+
+M = 9
+PROFILE_AUDIT_SHA256 = (
+    "057c43459135f35aec6b683248e77fa7711c7120db5fe60e93702beaa9757b29")
+
+
+def _profile_audit_argv_lists():
+    for p in range(M + 1):
+        for q in range(M + 1):
+            for lo, hi in ((-8, 8), (3, 3), (2, 1)):
+                base = ["profile", str(p), str(q),
+                        "--from", str(lo), "--to", str(hi)]
+                yield base
+                yield base + ["--csv"]
+                yield base + ["--mirror"]
+                yield base + ["--csv", "--mirror"]
+    for g in range(-1, M):
+        for m in range(0, M):
+            for d in (-1, 0, 1, 3):
+                yield ["audit", "--g", str(g), "--m", str(m), "--d", str(d)]
+
+
+def test_profile_and_audit_output_is_byte_identical(one_parser):
+    assert cli_digest(_profile_audit_argv_lists()) == PROFILE_AUDIT_SHA256

@@ -5,7 +5,7 @@ import pytest
 
 from crosscap4.errors import OddSignature, OutOfRange
 from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
-                                d_pm1, d_zero_surgery, t0)
+                                d_pm1, t0)
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander, mirror,
                              sigma_rec)
 
@@ -35,12 +35,6 @@ def test_t0_floor_sum_matches_alexander_oracle():
 def test_t0_family_at_scale():
     k = 10 ** 9
     assert t0(2 * k, 2 * k - 1) == (k * k - k) // 2
-
-
-def test_d_zero_surgery():
-    assert d_zero_surgery(3, 2) == (Fraction(-1, 2), Fraction(-3, 2))
-    assert d_zero_surgery(4, 3) == (Fraction(-1, 2), Fraction(-3, 2))
-    assert d_zero_surgery(1, 0) == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_d_pm1():

@@ -1,10 +1,16 @@
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crosscap4 import heegaard, pinch, torus
+from crosscap4.bounds import gamma4_lower
 from crosscap4.errors import NotCoprime, OutOfRange
-from crosscap4.reports import (CSV_HEADER, emit_csv, emit_json, family_table,
-                               report)
+from crosscap4.reports import (CSV_HEADER, BoundReport, emit_csv, emit_json,
+                               family_table, report)
+from crosscap4.torus import canonicalize, mirror
 
 
 def test_report_t43():
@@ -83,3 +89,40 @@ def test_csv_format():
 def test_csv_empty_gamma3():
     row = emit_csv([report(5, 3)]).strip().split("\n")[1]
     assert row.endswith(",true,")
+
+
+def test_report_computes_each_invariant_once(monkeypatch):
+    calls = {}
+    for fn in (torus.sigma_rec, heegaard.t0, pinch.pinch_sequence):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+
+        # rebind the name wherever a crosscap4 module imported it
+        for name, mod in list(sys.modules.items()):
+            if name == "crosscap4" or name.startswith("crosscap4."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    report(10, 9)
+    assert calls == {"sigma_rec": 1, "t0": 1, "pinch_sequence": 1}
+
+
+coprime = st.tuples(st.integers(1, 2000), st.integers(1, 2000)).filter(
+    lambda pq: math.gcd(*pq) == 1)
+
+
+@settings(deadline=None)
+@given(coprime)
+def test_report_properties(pq):
+    p, q = pq
+    r = report(p, q)
+    assert report(q, p) == r
+    assert r.gamma4_lower <= r.gamma4_upper
+    K = canonicalize(p, q)
+    assert gamma4_lower(K) == gamma4_lower(mirror(K)) == r.gamma4_lower
+    payload = json.loads(emit_json(r))
+    payload["pinch_trace"] = tuple(map(tuple, payload["pinch_trace"]))
+    assert BoundReport(**payload) == r

@@ -11,7 +11,7 @@ from crosscap4.errors import NotCoprime, NotPrimitive, OutOfRange, ZeroClass
 from crosscap4.laurent import LaurentPoly
 from crosscap4.torus import (LATTICE_MAX_SIDE, Hand, TorusKnotClass, UNKNOT,
                              alexander, alexander_family, canonicalize,
-                             mirror, seifert_genus, sigma_lattice, sigma_rec,
+                             mirror, sigma_lattice, sigma_rec,
                              signature)
 
 
@@ -173,8 +173,3 @@ def test_cli_import_leaves_numpy_unloaded():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "False\n"
-
-
-@pytest.mark.parametrize("p,q,expect", [(3, 2, 1), (4, 3, 3), (10, 9, 36)])
-def test_seifert_genus(p, q, expect):
-    assert seifert_genus(p, q) == expect
