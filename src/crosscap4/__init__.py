@@ -5,8 +5,8 @@ from .bounds import (AuditRecord, FramedProfile, framed_profile, gamma4_lower,
                      obstruction_audit)
 from .heegaard import d_b_circle_bundle, d_minus1_alternating, d_pm1, t0
 from .laurent import LaurentPoly
-from .pinch import (GAMMA3, GAMMA4, PinchSequence, PinchStep, gamma3_upper,
-                    gamma4_upper, pinch_sequence, pinch_step)
+from .pinch import (GAMMA3, GAMMA4, PinchStep, gamma3_upper, gamma4_upper,
+                    pinch_step, pinch_walk)
 from .reports import (BoundReport, emit_csv, emit_json, family_table, report)
 from .torus import (Hand, TorusKnotClass, UNKNOT, alexander, alexander_family,
                     canonicalize, mirror, sigma_lattice, sigma_rec,

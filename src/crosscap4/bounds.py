@@ -10,7 +10,7 @@ max(1, sigma/2 - d) taken over both chiralities.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, OutOfRange
+from .errors import ConsistencyError, InputError
 from .heegaard import _hand_d_pm1, d_b_circle_bundle, d_pm1, t0
 from .torus import Hand, _signed_sigma, sigma_rec, signature
 
@@ -50,12 +50,12 @@ def framed_profile(K, n_lo, n_hi):
 
     Row n bounds b1 of a surface bounding K with normal Euler number 2n by
     the larger of the signature and d-invariant obstructions.  Raises
-    OutOfRange for a window of more than PROFILE_MAX_ROWS framings.
+    InputError for a window of more than PROFILE_MAX_ROWS framings.
     """
     if n_lo > n_hi:
-        raise OutOfRange("empty framing window [%d, %d]" % (n_lo, n_hi))
+        raise InputError("empty framing window [%d, %d]" % (n_lo, n_hi))
     if n_hi - n_lo >= PROFILE_MAX_ROWS:
-        raise OutOfRange("profile accepts at most %d framings, got %d"
+        raise InputError("profile accepts at most %d framings, got %d"
                          % (PROFILE_MAX_ROWS, n_hi - n_lo + 1))
     s = signature(K)
     dm1, _ = d_pm1(K)
@@ -101,11 +101,11 @@ def obstruction_audit(g, m, d):
     cobordism inequality reduces identically to e(F)/2 <= 2d + b1(F).
     """
     if g < 0 or m < 1 or d < 0:
-        raise OutOfRange("need g >= 0, m >= 1, d >= 0 (got g=%d, m=%d, d=%d)"
+        raise InputError("need g >= 0, m >= 1, d >= 0 (got g=%d, m=%d, d=%d)"
                          % (g, m, d))
     n = 4 * m - 1
     if n <= 2 * g:
-        raise OutOfRange("need n = 4m-1 > 2g (got n=%d, g=%d)" % (n, g))
+        raise InputError("need n = 4m-1 > 2g (got n=%d, g=%d)" % (n, g))
 
     # 2(m-g)-1 is odd, so exactly one of +-1 lands it on a multiple of 4.
     choices = [s for s in (1, -1) if (2 * (m - g) - 1 + s) % 4 == 0]

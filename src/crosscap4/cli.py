@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure.
-All success output goes to stdout; diagnostics go to stderr.
+All success output goes to stdout; diagnostics go to stderr.  Input is
+checked before anything is printed, so exit 2 leaves stdout empty.  `pinch`
+writes each step as it is made, so a check that fails mid-walk (exit 3)
+may leave the steps before the failure on stdout.
 """
 
 import argparse
@@ -9,7 +12,7 @@ import math
 import sys
 
 from . import bounds, heegaard, pinch, reports, torus
-from .errors import ConsistencyError, InputError, OutOfRange
+from .errors import ConsistencyError, InputError
 from .torus import Hand, canonicalize, mirror
 
 # scan makes about 0.3 * max^2 reports, each walking up to p pinch steps:
@@ -54,7 +57,7 @@ def _cmd_table(args, out):
 
 def _cmd_scan(args, out):
     if args.max > SCAN_MAX:
-        raise OutOfRange("scan accepts --max <= %d, got %d"
+        raise InputError("scan accepts --max <= %d, got %d"
                          % (SCAN_MAX, args.max))
     table = []
     for p in range(3, args.max + 1):
@@ -77,9 +80,8 @@ def _cmd_scan(args, out):
 def _cmd_pinch(args, out):
     K = canonicalize(args.p, args.q)
     mode = pinch.GAMMA3 if args.gamma3 else pinch.GAMMA4
-    seq = pinch.pinch_sequence(K, mode)
-    out.write("".join("(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
-                      % (fp + (t, h) + raw) for fp, t, h, raw in seq.steps))
+    for fp, t, h, raw in pinch.pinch_walk(K, mode):
+        out.write("(%d,%d) --t=%d,h=%d--> (%d,%d)\n" % (fp + (t, h) + raw))
     return 0
 
 
@@ -107,9 +109,9 @@ def _cmd_alexander(args, out):
 
 def _cmd_dinv(args, out):
     K = canonicalize(args.p, args.q)
-    right, left = (K, mirror(K)) if K.hand is Hand.RIGHT else (mirror(K), K)
-    rm1, rp1 = heegaard.d_pm1(right)
-    lm1, lp1 = heegaard.d_pm1(left)
+    t = heegaard.t0(K.p, K.q)  # 0 for the unknot; a mirror has the same t0
+    rm1, rp1 = heegaard._hand_d_pm1(Hand.RIGHT, t)
+    lm1, lp1 = heegaard._hand_d_pm1(Hand.LEFT, t)
     print("right-handed: d(-1) = %d, d(+1) = %d" % (rm1, rp1), file=out)
     print("left-handed:  d(-1) = %d, d(+1) = %d" % (lm1, lp1), file=out)
     return 0

@@ -7,7 +7,7 @@ of the Alexander polynomial.  Rationals are exact (fractions.Fraction).
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, OddSignature, OutOfRange
+from .errors import ConsistencyError, InputError
 from .numtheory import floor_sum
 from .torus import Hand, _check_coprime
 
@@ -57,7 +57,7 @@ def d_minus1_alternating(sigma):
     Equals max(0, 2*ceil(sigma/4)); the signature must be even.
     """
     if sigma % 2:
-        raise OddSignature("knot signatures are even, got %d" % sigma)
+        raise InputError("knot signatures are even, got %d" % sigma)
     return max(0, 2 * (-((-sigma) // 4)))
 
 
@@ -65,7 +65,7 @@ def d_b_circle_bundle(g, n):
     """Bottom correction term of the Euler-number -n circle bundle over a
     genus-g surface: 1/4 - g^2/n - n/4, valid only for n > 2g."""
     if g < 0 or n < 1:
-        raise OutOfRange("need g >= 0 and n >= 1 (got g=%d, n=%d)" % (g, n))
+        raise InputError("need g >= 0 and n >= 1 (got g=%d, n=%d)" % (g, n))
     if n <= 2 * g:
-        raise OutOfRange("formula requires n > 2g (got n=%d, g=%d)" % (n, g))
+        raise InputError("formula requires n > 2g (got n=%d, g=%d)" % (n, g))
     return Fraction(1, 4) - Fraction(g * g, n) - Fraction(n, 4)

@@ -5,7 +5,7 @@ coefficients; the zero polynomial is the empty mapping.  Values are never
 mutated after construction.
 """
 
-from .errors import NotSymmetric
+from .errors import ConsistencyError
 
 
 class LaurentPoly:
@@ -41,18 +41,15 @@ class LaurentPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def symmetric_coeffs(self):
         """Decompose a symmetric polynomial as a0 + sum a_j (T^j + T^-j).
 
         Returns (a0, [a_1, ..., a_d]) where d is the top exponent.  Raises
-        NotSymmetric if any coefficient differs from its mirror.
+        ConsistencyError if any coefficient differs from its mirror.
         """
         for e, c in self._terms.items():
             if self._terms.get(-e, 0) != c:
-                raise NotSymmetric(
+                raise ConsistencyError(
                     "coefficient of T^%d is %d but of T^%d is %d"
                     % (e, c, -e, self._terms.get(-e, 0)))
         if self.is_zero():

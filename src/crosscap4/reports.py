@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import _gamma4_lower
-from .errors import ConsistencyError, NotCoprime, OutOfRange
+from .errors import ConsistencyError, InputError
 from .heegaard import _hand_d_pm1, t0
-from .pinch import GAMMA3, GAMMA4, pinch_sequence
+from .pinch import GAMMA3, GAMMA4, pinch_walk
 from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 
 # Row k walks about k pinch steps, so a table costs O(k_max^2):
@@ -39,36 +39,35 @@ def report(p, q):
     """Certificate for T(p,q): signature, t0, d-invariants, lower and upper
     genus bounds, exactness flag, and the pinch trace behind the upper
     bound.  The input pair is canonicalized first.  Both chiralities and
-    the lower bound come from one sigma_rec and one t0."""
+    the lower bound come from one sigma_rec and one t0, both upper bounds
+    and the trace from one pinch walk."""
     if p < 1 or q < 1:
-        raise OutOfRange("need p, q >= 1, got (%d, %d)" % (p, q))
+        raise InputError("need p, q >= 1, got (%d, %d)" % (p, q))
     if math.gcd(p, q) != 1:
-        raise NotCoprime("(%d, %d) are not coprime" % (p, q))
+        raise InputError("(%d, %d) are not coprime" % (p, q))
     K = canonicalize(p, q)
     sigma, t0_val = sigma_rec(K.p, K.q), t0(K.p, K.q)
     d_right, _ = _hand_d_pm1(Hand.RIGHT, t0_val)
     d_left, _ = _hand_d_pm1(Hand.LEFT, t0_val)
     lower = _gamma4_lower(sigma, t0_val)
 
-    # One pinch walk serves both upper bounds: the GAMMA4 walk is the prefix
-    # of the GAMMA3 walk through its first unknot (same steps, same start).
+    # One walk serves both upper bounds and the trace: when pq is even it
+    # is the GAMMA3 walk, whose steps from a pair with q > 1 are the GAMMA4
+    # walk.  The trace holds the start and each GAMMA4 landing, descending.
     even = (K.p * K.q) % 2 == 0
-    steps = pinch_sequence(K, GAMMA3 if even else GAMMA4).steps
-    n4 = next((i + 1 for i, step in enumerate(steps)
-               if min(map(abs, step.raw_to)) <= 1),  # landed on an unknot
-              len(steps))
-    upper = max(1, n4)
+    walk = pinch_walk(K, GAMMA3 if even else GAMMA4)
+    trace = [(K.p, K.q)]
+    n3 = 0
+    for (_, q_from), _, _, (r, s) in walk:
+        n3 += 1
+        if q_from > 1:
+            r, s = abs(r), abs(s)
+            trace.append((max(r, s), min(r, s)))
+    upper = max(1, len(trace) - 1)
     if lower > upper:
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
                                % (lower, upper, K))
-
-    trace = [(K.p, K.q)]
-    for step in steps[:n4]:
-        r, s = step.raw_to
-        r, s = abs(r), abs(s)
-        trace.append((max(r, s), min(r, s)))
-
-    g3 = max(1, len(steps)) if even else None
+    g3 = max(1, n3) if even else None
 
     return BoundReport(
         p=K.p, q=K.q,
@@ -86,7 +85,7 @@ def report(p, q):
 def family_table(k_max):
     """Reports for the family T(2k, 2k-1), k = 2..k_max <= FAMILY_MAX_K."""
     if not 2 <= k_max <= FAMILY_MAX_K:
-        raise OutOfRange("need 2 <= k_max <= %d, got %d"
+        raise InputError("need 2 <= k_max <= %d, got %d"
                          % (FAMILY_MAX_K, k_max))
     return [report(2 * k, 2 * k - 1) for k in range(2, k_max + 1)]
 

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (ConsistencyError, NotCoprime, NotPrimitive, OutOfRange,
-                     ZeroClass)
+from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 
 
@@ -50,9 +49,9 @@ def canonicalize(a, b, hand=Hand.RIGHT):
     unknot and collapses to the canonical (1, 0, RIGHT).
     """
     if a == 0 and b == 0:
-        raise ZeroClass("class (0, 0) is not a knot")
+        raise InputError("class (0, 0) is not a knot")
     if math.gcd(abs(a), abs(b)) != 1:
-        raise NotPrimitive("class (%d, %d) is not primitive" % (a, b))
+        raise InputError("class (%d, %d) is not primitive" % (a, b))
     if a < 0 and b < 0:
         a, b = -a, -b
     elif a < 0:
@@ -78,7 +77,7 @@ def mirror(K):
 
 def _check_coprime(p, q):
     if math.gcd(p, q) != 1:
-        raise NotCoprime("(%d, %d) are not coprime" % (p, q))
+        raise InputError("(%d, %d) are not coprime" % (p, q))
 
 
 def sigma_rec(p, q):
@@ -95,7 +94,7 @@ def sigma_rec(p, q):
     Euclid's algorithm, so the cost is O(log p) with no stack growth.
     """
     if p < 0 or q < 0:
-        raise OutOfRange("sigma_rec expects nonnegative arguments, got "
+        raise InputError("sigma_rec expects nonnegative arguments, got "
                          "(%d, %d)" % (p, q))
     _check_coprime(p, q)
     total = 0
@@ -152,18 +151,18 @@ def sigma_lattice(p, q):
     runs row by row over the shorter side: in each row both ends of the
     strip are floor divisions, clipped to the rectangle, so the cost is
     O(min(p, q)) time and O(1) memory.  Boundary equalities are impossible
-    by coprimality and are asserted against.  Raises OutOfRange when the
+    by coprimality and are asserted against.  Raises InputError when the
     shorter side exceeds LATTICE_MAX_SIDE.
     """
     if p < 2 and q >= 2:
         p, q = q, p
     _check_coprime(p, q)
     if q < 1 or p < 2:
-        raise OutOfRange("sigma_lattice expects p >= 2, q >= 1, got "
+        raise InputError("sigma_lattice expects p >= 2, q >= 1, got "
                          "(%d, %d)" % (p, q))
     a, b = max(p, q), min(p, q)  # i runs along a, j along b
     if b > LATTICE_MAX_SIDE:
-        raise OutOfRange("sigma_lattice accepts min(p, q) <= %d, got %d"
+        raise InputError("sigma_lattice accepts min(p, q) <= %d, got %d"
                          % (LATTICE_MAX_SIDE, b))
     m = 2 * b
     n_in = 0
@@ -205,7 +204,7 @@ def alexander(p, q):
         Delta = T^{-g} [(1-T) sum_{s in S, s < 2g} T^s + T^{2g}],
     exactly, with no division.  Each s < 2g is a*p + b*q for a single
     a < q, so the loop visits every such s once.  Returns 1 for unknots
-    (q <= 1); raises OutOfRange when g exceeds ALEXANDER_MAX_GENUS.
+    (q <= 1); raises InputError when g exceeds ALEXANDER_MAX_GENUS.
     """
     if q > p:
         p, q = q, p
@@ -214,7 +213,7 @@ def alexander(p, q):
         return LaurentPoly.one()
     g = (p - 1) * (q - 1) // 2
     if g > ALEXANDER_MAX_GENUS:
-        raise OutOfRange("alexander accepts genus (p-1)(q-1)/2 <= %d, got %d"
+        raise InputError("alexander accepts genus (p-1)(q-1)/2 <= %d, got %d"
                          % (ALEXANDER_MAX_GENUS, g))
     terms = {g: 1}
     for ap in range(0, 2 * g, p):

@@ -10,11 +10,11 @@ import pytest
 
 from crosscap4.bounds import gamma4_lower, obstruction_audit
 from crosscap4.cli import main
-from crosscap4.errors import ParityError
+from crosscap4.errors import InputError
 from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
                                 d_pm1, t0)
 from crosscap4.pinch import (GAMMA4, gamma3_upper, gamma4_upper,
-                             pinch_sequence)
+                             pinch_walk)
 from crosscap4.reports import emit_json, family_table, report
 from crosscap4.torus import (Hand, TorusKnotClass, alexander,
                              alexander_family, canonicalize, mirror,
@@ -75,7 +75,7 @@ def test_criterion_06_alexander_family_and_properties():
         assert alexander_family(k) == alexander(2 * k, 2 * k - 1), k
     for p, q in coprime_pairs(40):
         poly = alexander(p, q)
-        poly.symmetric_coeffs()  # raises NotSymmetric on failure
+        poly.symmetric_coeffs()  # raises ConsistencyError on failure
         assert poly.eval_at_one() == 1
         assert poly.max_exp() == (p - 1) * (q - 1) // 2
         assert set(poly.terms.values()) <= {-1, 1}
@@ -106,16 +106,16 @@ def test_criterion_08_closed_form_equals_brute_force():
 
 def test_criterion_09_pinch_invariants():
     for p, q in coprime_pairs(300):
-        seq = pinch_sequence(canonicalize(p, q), GAMMA4)
+        steps = list(pinch_walk(canonicalize(p, q), GAMMA4))
         prev_max = p
-        for step in seq.steps:
+        for step in steps:
             r, s = step.raw_to
             fp, fq = step.from_pair
             assert (r - fp) % 2 == 0 and (s - fq) % 2 == 0
             assert math.gcd(abs(r), abs(s)) == 1
             assert max(abs(r), abs(s)) < prev_max
             prev_max = max(abs(r), abs(s), 1)
-        assert len(seq.steps) < p
+        assert len(steps) < p
     for k in range(1, 51):
         assert gamma4_upper(canonicalize(2 * k + 1, 2)) == 1
     for p, q in coprime_pairs(100):
@@ -129,7 +129,7 @@ def test_criterion_10_gamma3_values():
     assert gamma3_upper(canonicalize(4, 3)) == 2
     for k in range(2, 26):
         assert gamma3_upper(canonicalize(2 * k, 2 * k - 1)) == k
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match=r"needs p\*q even"):
         gamma3_upper(canonicalize(7, 3))
     ok(10, "gamma3(T(4,3)) = 2; gamma3(T(2k,2k-1)) = k for k = 2..25; "
            "parity guard")

@@ -5,7 +5,7 @@ import pytest
 
 from crosscap4 import bounds
 from crosscap4.bounds import framed_profile, gamma4_lower, obstruction_audit
-from crosscap4.errors import OutOfRange
+from crosscap4.errors import InputError
 from crosscap4.heegaard import d_pm1
 from crosscap4.torus import (Hand, TorusKnotClass, canonicalize, mirror,
                              signature)
@@ -91,7 +91,8 @@ def test_framed_profile_row_limit(monkeypatch):
     monkeypatch.setattr(bounds, "PROFILE_MAX_ROWS", 3)
     K = canonicalize(4, 3)
     assert len(framed_profile(K, -1, 1).rows) == 3
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError,
+                       match="profile accepts at most 3 framings, got 4"):
         framed_profile(K, -1, 2)
 
 
@@ -113,7 +114,7 @@ class TestObstructionAudit:
         assert rec.consistent
 
     def test_out_of_range_guard(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="need n = 4m-1 > 2g"):
             obstruction_audit(2, 1, 0)  # n = 3 <= 2g = 4
 
     def test_boundary_case_succeeds(self):

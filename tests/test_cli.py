@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap4 import heegaard, torus
+from crosscap4 import heegaard, pinch, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
 from crosscap4.cli import SCAN_MAX, main
 from crosscap4.laurent import LaurentPoly
@@ -80,6 +81,26 @@ def test_pinch_trace(capsys):
     assert len(lines) == 3
 
 
+def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
+    made = []
+
+    def third_step_not_primitive(p, q, _step=pinch.pinch_step):
+        step = _step(p, q)
+        made.append(step)
+        if len(made) == 3:
+            r, s = step.raw_to
+            return step._replace(raw_to=(3 * r, 3 * s))  # parity kept
+        return step
+
+    monkeypatch.setattr(pinch, "pinch_step", third_step_not_primitive)
+    code, out, err = run(capsys, "pinch", "20", "19")
+    assert code == 3
+    assert err == "internal error: pinch left a non-primitive class\n"
+    assert out == "".join("(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
+                          % (fp + (t, h) + raw) for fp, t, h, raw in made[:2])
+    assert out.startswith("(20,19) --t=1,h=1--> (18,17)\n")
+
+
 def test_pinch_gamma3(capsys):
     code, out, _ = run(capsys, "pinch", "4", "3", "--gamma3")
     assert code == 0
@@ -127,6 +148,25 @@ def test_dinv(capsys):
     assert code == 0
     assert "right-handed: d(-1) = 0, d(+1) = -2" in out
     assert "left-handed:  d(-1) = 2, d(+1) = 0" in out
+
+
+def test_dinv_computes_t0_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(p, q, _t0=heegaard.t0):
+        calls.append((p, q))
+        return _t0(p, q)
+
+    # rebind t0 wherever a crosscap4 module imported it
+    for name, mod in list(sys.modules.items()):
+        if name == "crosscap4" or name.startswith("crosscap4."):
+            if getattr(mod, "t0", None) is heegaard.t0:
+                monkeypatch.setattr(mod, "t0", counted)
+    code, out, _ = run(capsys, "dinv", "7", "4")
+    assert code == 0
+    assert calls == [(7, 4)]
+    assert "right-handed: d(-1) = 0, d(+1) = -8" in out
+    assert "left-handed:  d(-1) = 8, d(+1) = 0" in out
 
 
 def test_profile_csv(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crosscap4.errors import NotSymmetric
+from crosscap4.errors import ConsistencyError
 from crosscap4.laurent import LaurentPoly
 
 P = LaurentPoly
@@ -15,7 +15,8 @@ def test_symmetric_coeffs():
     assert P({0: 1}).symmetric_coeffs() == (1, [])
     assert P({3: 1, 2: -1, 0: 1, -2: -1, -3: 1}).symmetric_coeffs() == \
         (1, [0, -1, 1])
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ConsistencyError,
+                       match=r"coefficient of T\^1 is 1 but of T\^-1 is 0"):
         P({1: 1}).symmetric_coeffs()
 
 

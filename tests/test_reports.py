@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from crosscap4 import heegaard, pinch, torus
 from crosscap4.bounds import gamma4_lower
-from crosscap4.errors import NotCoprime, OutOfRange
+from crosscap4.errors import InputError
 from crosscap4.reports import (CSV_HEADER, BoundReport, emit_csv, emit_json,
                                family_table, report)
 from crosscap4.torus import canonicalize, mirror
@@ -44,12 +44,12 @@ def test_report_canonicalizes_input():
 
 
 def test_report_not_coprime():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(InputError, match=r"\(6, 4\) are not coprime"):
         report(6, 4)
 
 
 def test_report_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match=r"need p, q >= 1, got \(0, 1\)"):
         report(0, 1)
 
 
@@ -93,7 +93,7 @@ def test_csv_empty_gamma3():
 
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = {}
-    for fn in (torus.sigma_rec, heegaard.t0, pinch.pinch_sequence):
+    for fn in (torus.sigma_rec, heegaard.t0, pinch.pinch_walk):
         calls[fn.__name__] = 0
 
         def counted(*args, _fn=fn):
@@ -107,7 +107,7 @@ def test_report_computes_each_invariant_once(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
     report(10, 9)
-    assert calls == {"sigma_rec": 1, "t0": 1, "pinch_sequence": 1}
+    assert calls == {"sigma_rec": 1, "t0": 1, "pinch_walk": 1}
 
 
 coprime = st.tuples(st.integers(1, 2000), st.integers(1, 2000)).filter(
