@@ -1,13 +1,13 @@
 """Certified lower and upper bounds for the nonorientable four-ball genus
 of torus knots, in exact integer and rational arithmetic."""
 
-from .bounds import (AuditRecord, FramedProfile, framed_profile, gamma4_lower,
+from .bounds import (AuditRecord, framed_profile, gamma4_lower,
                      obstruction_audit)
 from .heegaard import d_b_circle_bundle, d_minus1_alternating, d_pm1, t0
 from .laurent import LaurentPoly
 from .pinch import (GAMMA3, GAMMA4, PinchStep, gamma3_upper, gamma4_upper,
                     pinch_step, pinch_walk)
-from .reports import (BoundReport, emit_csv, emit_json, family_table, report)
+from .reports import (BoundReport, emit_json, family_table, report, write_rows)
 from .torus import (Hand, TorusKnotClass, UNKNOT, alexander, alexander_family,
                     canonicalize, mirror, sigma_lattice, sigma_rec,
                     signature)

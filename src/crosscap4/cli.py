@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure.
 All success output goes to stdout; diagnostics go to stderr.  Input is
-checked before anything is printed, so exit 2 leaves stdout empty.  `pinch`
-writes each step as it is made, so a check that fails mid-walk (exit 3)
-may leave the steps before the failure on stdout.
+checked before anything is printed, so exit 2 leaves stdout empty.  `pinch`,
+`scan`, `table` and `profile` write each row as it is made, so a failed
+check (exit 3) may leave the rows made before it on stdout.  A reader that
+closes stdout early (`| head -1`) ends the command quietly with exit 0.
 """
 
 import argparse
 import math
+import os
 import sys
 
 from . import bounds, heegaard, pinch, reports, torus
@@ -16,7 +18,8 @@ from .errors import ConsistencyError, InputError
 from .torus import Hand, canonicalize, mirror
 
 # scan makes about 0.3 * max^2 reports, each walking up to p pinch steps:
-# `scan --max 300 --csv` (27,000 rows) takes about 3 s.
+# `scan --max 300 --csv` (27,000 rows, streamed) takes 1.5 s and 16 MB on a
+# 2-vCPU Xeon VM.
 SCAN_MAX = 300
 
 
@@ -45,13 +48,9 @@ def _cmd_table(args, out):
     if args.family != "2k":
         raise InputError("unknown family %r; only '2k' is supported"
                          % args.family)
-    table = reports.family_table(args.kmax)
-    if args.csv:
-        out.write(reports.emit_csv(table))
-    elif args.json:
-        print(reports.emit_json(table), file=out)
-    else:
-        out.write(reports.emit_csv(table).replace(",", "\t"))
+    fmt = (reports.CSV if args.csv else
+           reports.JSON if args.json else reports.TSV)
+    reports.write_rows(reports.family_table(args.kmax), out, fmt)
     return 0
 
 
@@ -59,21 +58,24 @@ def _cmd_scan(args, out):
     if args.max > SCAN_MAX:
         raise InputError("scan accepts --max <= %d, got %d"
                          % (SCAN_MAX, args.max))
-    table = []
-    for p in range(3, args.max + 1):
-        for q in range(2, p):
-            if math.gcd(p, q) == 1:
-                table.append(reports.report(p, q))
-    exact = sum(1 for r in table if r.exact)
+    tally = [0, 0]  # inexact and exact rows made so far
+
+    def rows():
+        for p in range(3, args.max + 1):
+            for q in range(2, p):
+                if math.gcd(p, q) == 1:
+                    r = reports.report(p, q)
+                    tally[r.exact] += 1
+                    yield r
     if args.csv:
-        out.write(reports.emit_csv(table))
-        print("# exact %d of %d" % (exact, len(table)), file=out)
-    else:
-        for r in table:
-            print("T(%d,%d): lower %d upper %d%s"
-                  % (r.p, r.q, r.gamma4_lower, r.gamma4_upper,
-                     " exact" if r.exact else ""), file=out)
-        print("exact rows: %d of %d" % (exact, len(table)), file=out)
+        reports.write_rows(rows(), out, reports.CSV)
+        print("# exact %d of %d" % (tally[1], sum(tally)), file=out)
+        return 0
+    for r in rows():
+        print("T(%d,%d): lower %d upper %d%s"
+              % (r.p, r.q, r.gamma4_lower, r.gamma4_upper,
+                 " exact" if r.exact else ""), file=out)
+    print("exact rows: %d of %d" % (tally[1], sum(tally)), file=out)
     return 0
 
 
@@ -121,16 +123,15 @@ def _cmd_profile(args, out):
     K = canonicalize(args.p, args.q)
     if args.mirror:
         K = mirror(K)
-    prof = bounds.framed_profile(K, args.n_from, args.n_to)
+    rows = bounds.framed_profile(K, args.n_from, args.n_to)
     if args.csv:
-        print("n,sig_bound,d_bound,combined", file=out)
-        for n, sig_b, d_b, comb in prof.rows:
-            print("%d,%d,%d,%d" % (n, sig_b, d_b, comb), file=out)
+        out.write("n,sig_bound,d_bound,combined\n")
+        line = "%d,%d,%d,%d\n"
     else:
-        print("framed lower bounds for %s" % (K,), file=out)
-        for n, sig_b, d_b, comb in prof.rows:
-            print("n=%d: signature %d, d-invariant %d, combined %d"
-                  % (n, sig_b, d_b, comb), file=out)
+        out.write("framed lower bounds for %s\n" % (K,))
+        line = "n=%d: signature %d, d-invariant %d, combined %d\n"
+    for row in rows:
+        out.write(line % row)
     return 0
 
 
@@ -216,13 +217,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader is gone; the flush at exit goes to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

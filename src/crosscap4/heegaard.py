@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
 from .numtheory import floor_sum
-from .torus import Hand, _check_coprime
+from .torus import Hand, _check_pair
 
 
 def t0(p, q):
@@ -19,10 +19,11 @@ def t0(p, q):
     semigroup elements a*p + b*q (a, b >= 0) below g = (p-1)(q-1)/2.  For
     each a, the b's number floor((g-1-a*p)/q) + 1, which sums to one
     floor_sum: O(log pq).  alexander(p, q).t0() is the independent oracle.
+    Raises InputError for a negative argument.
     """
+    _check_pair("t0", p, q)
     if q > p:
         p, q = q, p
-    _check_coprime(p, q)
     if q <= 1:
         return 0
     g = (p - 1) * (q - 1) // 2

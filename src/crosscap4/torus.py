@@ -75,7 +75,10 @@ def mirror(K):
     return TorusKnotClass(K.p, K.q, flipped)
 
 
-def _check_coprime(p, q):
+def _check_pair(name, p, q):
+    if p < 0 or q < 0:
+        raise InputError("%s expects nonnegative arguments, got (%d, %d)"
+                         % (name, p, q))
     if math.gcd(p, q) != 1:
         raise InputError("(%d, %d) are not coprime" % (p, q))
 
@@ -93,10 +96,7 @@ def sigma_rec(p, q):
     closed-form alternating sum.  Each pass reduces the pair like a step of
     Euclid's algorithm, so the cost is O(log p) with no stack growth.
     """
-    if p < 0 or q < 0:
-        raise InputError("sigma_rec expects nonnegative arguments, got "
-                         "(%d, %d)" % (p, q))
-    _check_coprime(p, q)
+    _check_pair("sigma_rec", p, q)
     total = 0
     sign = 1
     while True:
@@ -154,9 +154,9 @@ def sigma_lattice(p, q):
     by coprimality and are asserted against.  Raises InputError when the
     shorter side exceeds LATTICE_MAX_SIDE.
     """
+    _check_pair("sigma_lattice", p, q)
     if p < 2 and q >= 2:
         p, q = q, p
-    _check_coprime(p, q)
     if q < 1 or p < 2:
         raise InputError("sigma_lattice expects p >= 2, q >= 1, got "
                          "(%d, %d)" % (p, q))
@@ -204,11 +204,12 @@ def alexander(p, q):
         Delta = T^{-g} [(1-T) sum_{s in S, s < 2g} T^s + T^{2g}],
     exactly, with no division.  Each s < 2g is a*p + b*q for a single
     a < q, so the loop visits every such s once.  Returns 1 for unknots
-    (q <= 1); raises InputError when g exceeds ALEXANDER_MAX_GENUS.
+    (q <= 1); raises InputError for a negative argument (T(-3,2) is the
+    mirror trefoil, not an unknot) and when g exceeds ALEXANDER_MAX_GENUS.
     """
+    _check_pair("alexander", p, q)
     if q > p:
         p, q = q, p
-    _check_coprime(p, q)
     if q <= 1:
         return LaurentPoly.one()
     g = (p - 1) * (q - 1) // 2

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from oracles import minmax_over_framings
 
 def framed_lower(K, n):
     """The combined bound of the single-row profile at framing n."""
-    (row,) = framed_profile(K, n, n).rows
+    (row,) = framed_profile(K, n, n)
     assert row[0] == n
     return row[3]
 
@@ -80,9 +81,9 @@ def test_minmax_equals_closed_form_sweep():
 
 def test_framed_profile_rows():
     K = TorusKnotClass(4, 3, Hand.LEFT)
-    prof = framed_profile(K, 3, 5)
-    assert [r[0] for r in prof.rows] == [3, 4, 5]
-    n, sig_b, d_b, comb = prof.rows[1]
+    rows = list(framed_profile(K, 3, 5))
+    assert [r[0] for r in rows] == [3, 4, 5]
+    n, sig_b, d_b, comb = rows[1]
     assert (sig_b, d_b, comb) == (2, 0, 2)
 
 
@@ -90,10 +91,22 @@ def test_framed_profile_row_limit(monkeypatch):
     # a small limit checks the boundary without building 10^6 rows
     monkeypatch.setattr(bounds, "PROFILE_MAX_ROWS", 3)
     K = canonicalize(4, 3)
-    assert len(framed_profile(K, -1, 1).rows) == 3
+    assert len(list(framed_profile(K, -1, 1))) == 3
     with pytest.raises(InputError,
                        match="profile accepts at most 3 framings, got 4"):
         framed_profile(K, -1, 2)
+
+
+def test_framed_profile_makes_rows_lazily():
+    K = canonicalize(4, 3)
+    rows = framed_profile(K, 0, bounds.PROFILE_MAX_ROWS - 1)
+    assert inspect.isgenerator(rows)
+    assert inspect.getgeneratorstate(rows) == inspect.GEN_CREATED
+    assert next(rows)[0] == 0
+    with pytest.raises(InputError, match="profile accepts at most"):
+        framed_profile(K, 0, bounds.PROFILE_MAX_ROWS)
+    with pytest.raises(InputError, match="empty framing window"):
+        framed_profile(K, 1, 0)
 
 
 class TestObstructionAudit:

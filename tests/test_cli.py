@@ -1,17 +1,21 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap4 import heegaard, pinch, torus
+import crosscap4
+from crosscap4 import heegaard, pinch, reports, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
 from crosscap4.cli import SCAN_MAX, main
+from crosscap4.errors import ConsistencyError
 from crosscap4.laurent import LaurentPoly
 from crosscap4.pinch import PINCH_MAX_P
-from crosscap4.reports import FAMILY_MAX_K
+from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
 from crosscap4.torus import LATTICE_MAX_SIDE
 
 
@@ -71,6 +75,42 @@ def test_scan(capsys):
     code, out, _ = run(capsys, "scan", "--max", "6")
     assert code == 0
     assert "exact rows:" in out
+
+
+def test_scan_streams_rows_before_a_failed_check(capsys, monkeypatch):
+    made = []
+
+    def third_pair_fails(p, q, _report=reports.report):
+        if len(made) == 2:
+            raise ConsistencyError("check failed at T(%d,%d)" % (p, q))
+        made.append(_report(p, q))
+        return made[-1]
+
+    monkeypatch.setattr(reports, "report", third_pair_fails)
+    code, out, err = run(capsys, "scan", "--max", "6", "--csv")
+    assert code == 3
+    assert err == "internal error: check failed at T(5,2)\n"
+    expected = io.StringIO()
+    write_rows(made, expected, CSV)
+    assert [(r.p, r.q) for r in made] == [(3, 2), (4, 3)]
+    assert out == expected.getvalue()
+    assert out.count("\n") == 3
+
+
+@pytest.mark.parametrize("argv", [["pinch", "100000", "99999"],
+                                  ["scan", "--max", "200", "--csv"]])
+def test_closed_stdout_exits_quietly(argv):
+    src = os.path.dirname(os.path.dirname(crosscap4.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "crosscap4.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # the reader goes away, as with `| head -1`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_pinch_trace(capsys):
@@ -205,6 +245,8 @@ def test_audit_out_of_range(capsys):
     ["table", "--family", "2k", "--kmax", str(FAMILY_MAX_K + 1)],
     ["scan", "--max", str(SCAN_MAX + 1)],
     ["profile", "4", "3", "--from", "1", "--to", str(PROFILE_MAX_ROWS + 1)],
+    ["alexander", "-3", "2"],
+    ["alexander", "3", "-2"],
 ])
 def test_out_of_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

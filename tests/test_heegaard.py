@@ -17,6 +17,14 @@ def test_t0_values():
     assert t0(1, 0) == 0
 
 
+def test_t0_rejects_negative_arguments():
+    # T(-3,2) is the mirror trefoil, whose t0 is 1, not the unknot's 0
+    for p, q in [(-3, 2), (3, -2), (-3, -2), (-1, 0)]:
+        with pytest.raises(InputError,
+                           match="t0 expects nonnegative arguments"):
+            t0(p, q)
+
+
 def test_t0_symmetric_and_positive():
     for p in range(3, 20):
         for q in range(2, p):

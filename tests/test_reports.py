@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 import sys
@@ -5,11 +7,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap4 import heegaard, pinch, torus
+from crosscap4 import heegaard, pinch, reports, torus
 from crosscap4.bounds import gamma4_lower
 from crosscap4.errors import InputError
-from crosscap4.reports import (CSV_HEADER, BoundReport, emit_csv, emit_json,
-                               family_table, report)
+from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON, TSV,
+                               BoundReport, emit_json, family_table, report,
+                               write_rows)
 from crosscap4.torus import canonicalize, mirror
 
 
@@ -54,14 +57,14 @@ def test_report_out_of_range():
 
 
 def test_family_table():
-    table = family_table(4)
+    table = list(family_table(4))
     assert [r.gamma4_lower for r in table] == [1, 2, 3]
     assert all(r.exact for r in table)
     for r, k in zip(table, range(2, 5)):
         assert r.sigma_left == 2 * k * k - 2
         assert r.t0 == (k * k - k) // 2
         assert r.d_minus1_left == k * k - k
-    assert len(family_table(2)) == 1
+    assert len(list(family_table(2))) == 1
 
 
 def test_json_deterministic():
@@ -77,18 +80,75 @@ def test_json_deterministic():
         "gamma3_upper", "pinch_trace"]
 
 
+def written(rows, fmt=CSV):
+    out = io.StringIO()
+    write_rows(rows, out, fmt)
+    return out.getvalue()
+
+
 def test_csv_format():
-    text = emit_csv(family_table(3))
+    text = written(family_table(3))
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
-    assert emit_csv([report(4, 3)]).strip().split("\n")[1].endswith(
+    assert written([report(4, 3)]).strip().split("\n")[1].endswith(
         ",1,1,true,2")
 
 
 def test_csv_empty_gamma3():
-    row = emit_csv([report(5, 3)]).strip().split("\n")[1]
+    row = written([report(5, 3)]).strip().split("\n")[1]
     assert row.endswith(",true,")
+
+
+def scan_reports(m):
+    return [report(p, q) for p in range(3, m + 1) for q in range(2, p)
+            if math.gcd(p, q) == 1]
+
+
+def direct_rows(rows, sep):
+    """The CSV/TSV text built cell by cell from the report fields."""
+    names = [f.name for f in dataclasses.fields(BoundReport)][:-1]
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return "" if v is None else str(v)
+    lines = [sep.join(names)]
+    lines += [sep.join(cell(getattr(r, n)) for n in names) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("make", [lambda: list(family_table(60)),
+                                  lambda: scan_reports(40), list],
+                         ids=["family60", "scan40", "empty"])
+def test_write_rows_matches_stdlib_oracle(make):
+    rows = make()
+    assert written(iter(rows), JSON) == \
+        json.dumps([vars(r) for r in rows], indent=2) + "\n"
+    assert written(iter(rows), CSV) == direct_rows(rows, ",")
+    assert written(iter(rows), TSV) == direct_rows(rows, "\t")
+
+
+def test_write_rows_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown row format"):
+        write_rows([], io.StringIO(), "xml")
+
+
+def test_family_table_makes_rows_lazily(monkeypatch):
+    made = []
+
+    def counted(p, q, _report=report):
+        made.append((p, q))
+        return _report(p, q)
+
+    monkeypatch.setattr(reports, "report", counted)
+    rows = family_table(FAMILY_MAX_K)
+    assert made == []
+    assert next(rows).p == 4 and made == [(4, 3)]
+    with pytest.raises(InputError, match="need 2 <= k_max <= 1000"):
+        family_table(FAMILY_MAX_K + 1)
+    with pytest.raises(InputError, match="need 2 <= k_max <= 1000"):
+        family_table(1)
 
 
 def test_report_computes_each_invariant_once(monkeypatch):

@@ -155,6 +155,13 @@ class TestAlexander:
     def test_unknot(self):
         assert alexander(1, 0) == LaurentPoly.one()
 
+    def test_rejects_negative_arguments(self):
+        # T(-3,2) is the mirror trefoil, not an unknot
+        for p, q in [(-3, 2), (3, -2), (-3, -2), (-1, 0)]:
+            with pytest.raises(InputError,
+                               match="alexander expects nonnegative"):
+                alexander(p, q)
+
     def test_properties_small(self):
         for p, q in coprime_pairs(20):
             poly = alexander(p, q)
