@@ -4,12 +4,11 @@ of torus knots, in exact integer and rational arithmetic."""
 from .bounds import (AuditRecord, framed_profile, gamma4_lower,
                      obstruction_audit)
 from .heegaard import d_b_circle_bundle, d_minus1_alternating, d_pm1, t0
-from .laurent import LaurentPoly
 from .pinch import (GAMMA3, GAMMA4, PinchStep, gamma3_upper, gamma4_upper,
                     pinch_step, pinch_walk)
 from .reports import (BoundReport, emit_json, family_table, report, write_rows)
 from .torus import (Hand, TorusKnotClass, UNKNOT, alexander, alexander_family,
-                    canonicalize, mirror, sigma_lattice, sigma_rec,
-                    signature)
+                    alexander_t0, alexander_text, canonicalize, mirror,
+                    sigma_lattice, sigma_rec, signature)
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ checked before anything is printed, so exit 2 leaves stdout empty.  `pinch`,
 `scan`, `table` and `profile` write each row as it is made, so a failed
 check (exit 3) may leave the rows made before it on stdout.  A reader that
 closes stdout early (`| head -1`) ends the command quietly with exit 0.
+Every command takes integer arguments of at most MAX_DIGITS digits.
 """
 
 import argparse
@@ -21,6 +22,11 @@ from .torus import Hand, canonicalize, mirror
 # `scan --max 300 --csv` (27,000 rows, streamed) takes 1.5 s and 16 MB on a
 # 2-vCPU Xeon VM.
 SCAN_MAX = 300
+
+# Integer arguments of up to this many digits keep every printed value (t0
+# grows as p*q, audit's c1^2 as a ratio of squares) at most 2,001 digits
+# long, below Python's 4,300-digit limit on int-to-str conversion.
+MAX_DIGITS = 1000
 
 
 def _cmd_report(args, out):
@@ -99,12 +105,12 @@ def _cmd_signature(args, out):
 
 
 def _cmd_alexander(args, out):
-    poly = torus.alexander(args.p, args.q)
-    t, oracle = heegaard.t0(args.p, args.q), poly.t0()
+    delta = torus.alexander(args.p, args.q)
+    t, oracle = heegaard.t0(args.p, args.q), torus.alexander_t0(delta)
     if t != oracle:
         raise ConsistencyError("t0 engines disagree: floor-sum %d vs "
                                "Alexander coefficients %d" % (t, oracle))
-    print(str(poly), file=out)
+    print(torus.alexander_text(delta), file=out)
     print("t0 = %d" % t, file=out)
     return 0
 
@@ -217,6 +223,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for v in vars(args).values():
+            if isinstance(v, int) and abs(v) >= 10 ** MAX_DIGITS:
+                raise InputError("integer arguments accept at most %d "
+                                 "digits" % MAX_DIGITS)
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code

@@ -18,8 +18,8 @@ def t0(p, q):
     T(p,q) is an L-space knot with semigroup <p, q>, so t0 = V_0 counts the
     semigroup elements a*p + b*q (a, b >= 0) below g = (p-1)(q-1)/2.  For
     each a, the b's number floor((g-1-a*p)/q) + 1, which sums to one
-    floor_sum: O(log pq).  alexander(p, q).t0() is the independent oracle.
-    Raises InputError for a negative argument.
+    floor_sum: O(log pq).  alexander_t0(alexander(p, q)) in torus.py is
+    the independent oracle.  Raises InputError for a negative argument.
     """
     _check_pair("t0", p, q)
     if q > p:

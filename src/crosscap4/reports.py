@@ -48,9 +48,10 @@ def report(p, q):
     genus bounds, exactness flag, and the pinch trace behind the upper
     bound.  The input pair is canonicalized first.  Both chiralities and
     the lower bound come from one sigma_rec and one t0, both upper bounds
-    and the trace from one pinch walk."""
-    if p < 1 or q < 1:
-        raise InputError("need p, q >= 1, got (%d, %d)" % (p, q))
+    and the trace from one pinch walk.  Signs are canonicalized away, so
+    report(-3, 2) == report(3, 2); a zero coordinate raises InputError."""
+    if p == 0 or q == 0:
+        raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
     if math.gcd(p, q) != 1:
         raise InputError("(%d, %d) are not coprime" % (p, q))
     K = canonicalize(p, q)

@@ -4,7 +4,7 @@ Sign conventions live here and nowhere else: RIGHT denotes the positive
 torus knot T(p,q), whose signature is negative (e.g. the right trefoil has
 signature -2); LEFT denotes its mirror.  sigma_rec and sigma_lattice both
 compute the nonnegative quantity -signature(T(p,q)) and cross-validate each
-other.
+other.  An Alexander polynomial is a map {exponent: coefficient}.
 """
 
 import math
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConsistencyError, InputError
-from .laurent import LaurentPoly
 
 
 class Hand(Enum):
@@ -197,21 +196,23 @@ ALEXANDER_MAX_GENUS = 10 ** 6
 
 
 def alexander(p, q):
-    """Alexander polynomial of T(p,q), in symmetric Laurent form.
+    """Alexander polynomial of T(p,q) as a map {exponent: coefficient} of
+    its symmetric Laurent form, with no zero coefficients.
 
     T(p,q) is an L-space knot whose semigroup is S = <p, q>, so with
     g = (p-1)(q-1)/2
         Delta = T^{-g} [(1-T) sum_{s in S, s < 2g} T^s + T^{2g}],
     exactly, with no division.  Each s < 2g is a*p + b*q for a single
-    a < q, so the loop visits every such s once.  Returns 1 for unknots
-    (q <= 1); raises InputError for a negative argument (T(-3,2) is the
-    mirror trefoil, not an unknot) and when g exceeds ALEXANDER_MAX_GENUS.
+    a < q, so the loop visits every such s once.  Returns {0: 1} for
+    unknots (q <= 1); raises InputError for a negative argument (T(-3,2)
+    is the mirror trefoil, not an unknot) and when g exceeds
+    ALEXANDER_MAX_GENUS.
     """
     _check_pair("alexander", p, q)
     if q > p:
         p, q = q, p
     if q <= 1:
-        return LaurentPoly.one()
+        return {0: 1}
     g = (p - 1) * (q - 1) // 2
     if g > ALEXANDER_MAX_GENUS:
         raise InputError("alexander accepts genus (p-1)(q-1)/2 <= %d, got %d"
@@ -221,7 +222,7 @@ def alexander(p, q):
         for e in range(ap - g, g, q):  # e = s - g for s = ap + bq < 2g
             terms[e] = terms.get(e, 0) + 1
             terms[e + 1] = terms.get(e + 1, 0) - 1
-    return LaurentPoly(terms)
+    return {e: c for e, c in terms.items() if c}
 
 
 def alexander_family(k):
@@ -240,4 +241,30 @@ def alexander_family(k):
         terms[top - (k - j)] = -1
         terms[-top] = 1
         terms[-top + (k - j)] = -1
-    return LaurentPoly(terms)
+    return terms
+
+
+def alexander_t0(delta):
+    """Torsion coefficient sum_{e > 0} e * a_e of a symmetric coefficient
+    map such as alexander(p, q): the independent oracle of heegaard.t0.
+    Raises ConsistencyError if any coefficient differs from its mirror.
+    """
+    for e, c in delta.items():
+        if delta.get(-e, 0) != c:
+            raise ConsistencyError(
+                "coefficient of T^%d is %d but of T^%d is %d"
+                % (e, c, -e, delta.get(-e, 0)))
+    return sum(e * c for e, c in delta.items() if e > 0)
+
+
+def alexander_text(delta):
+    """Text of a coefficient map, highest exponent first, e.g.
+    "T^3 - T^2 + 1 - T^-2 + T^-3"; the empty map is "0"."""
+    parts = []
+    for e in sorted(delta, reverse=True):
+        c = delta[e]
+        mag = "" if abs(c) == 1 and e else str(abs(c))
+        var = "" if e == 0 else "T" if e == 1 else "T^%d" % e
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + mag + var)
+    return " ".join(parts) or "0"

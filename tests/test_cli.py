@@ -11,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 import crosscap4
 from crosscap4 import heegaard, pinch, reports, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
-from crosscap4.cli import SCAN_MAX, main
+from crosscap4.cli import MAX_DIGITS, SCAN_MAX, main
 from crosscap4.errors import ConsistencyError
-from crosscap4.laurent import LaurentPoly
 from crosscap4.pinch import PINCH_MAX_P
 from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
 from crosscap4.torus import LATTICE_MAX_SIDE
+
+# Above MAX_DIGITS, and near 3,000 digits, where t0, sigma and c1^2 would
+# pass Python's 4,300-digit limit on int-to-str conversion.
+BIG = 10 ** (3 * MAX_DIGITS)
 
 
 def run(capsys, *argv):
@@ -45,6 +48,12 @@ def test_report_determinism(capsys):
     _, out1, _ = run(capsys, "report", "6", "5", "--json")
     _, out2, _ = run(capsys, "report", "6", "5", "--json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("p, q", [("-3", "2"), ("3", "-2"), ("-3", "-2")])
+def test_report_canonicalizes_signs(capsys, p, q):
+    _, expected, _ = run(capsys, "report", "3", "2")
+    assert run(capsys, "report", p, q) == (0, expected, "")
 
 
 def test_report_invalid_input(capsys):
@@ -176,7 +185,7 @@ def test_alexander_engine_mismatch_exits_3(capsys, monkeypatch):
 
 
 def test_alexander_asymmetric_polynomial_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(torus, "alexander", lambda p, q: LaurentPoly({1: 1}))
+    monkeypatch.setattr(torus, "alexander", lambda p, q: {1: 1})
     code, out, err = run(capsys, "alexander", "4", "3")
     assert code == 3
     assert out == ""
@@ -247,6 +256,9 @@ def test_audit_out_of_range(capsys):
     ["profile", "4", "3", "--from", "1", "--to", str(PROFILE_MAX_ROWS + 1)],
     ["alexander", "-3", "2"],
     ["alexander", "3", "-2"],
+    ["dinv", str(BIG + 1), str(BIG)],
+    ["profile", str(BIG + 1), str(BIG), "--from", "0", "--to", "2"],
+    ["audit", "--g", str(BIG), "--m", str(BIG), "--d", "0"],
 ])
 def test_out_of_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -256,14 +268,18 @@ def test_out_of_range_exits_2(capsys, argv):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([["pinch"], ["pinch", "--gamma3"], ["signature"],
-                        ["report"], ["report", "--json"], ["alexander"],
-                        ["dinv"]]),
-       st.integers(), st.integers())
+@given(st.sampled_from(["pinch {} {}", "pinch {} {} --gamma3",
+                        "signature {} {}", "report {} {}",
+                        "report {} {} --json", "alexander {} {}",
+                        "dinv {} {}", "profile {} {} --from -2 --to 2",
+                        "profile 4 3 --from {} --to {}",
+                        "audit --g {} --m {} --d 1"]),
+       st.integers() | st.integers(-BIG, BIG),
+       st.integers() | st.integers(-BIG, BIG))
 def test_exit_code_contract(cmd, p, q):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([cmd[0], str(p), str(q)] + cmd[1:])
+        code = main(cmd.format(p, q).split())
     err = err.getvalue()
     if code == 0:
         assert err == ""

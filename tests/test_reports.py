@@ -52,7 +52,7 @@ def test_report_not_coprime():
 
 
 def test_report_out_of_range():
-    with pytest.raises(InputError, match=r"need p, q >= 1, got \(0, 1\)"):
+    with pytest.raises(InputError, match=r"need nonzero p, q, got \(0, 1\)"):
         report(0, 1)
 
 

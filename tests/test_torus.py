@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import crosscap4
-from crosscap4.errors import InputError
-from crosscap4.laurent import LaurentPoly
+from crosscap4.errors import ConsistencyError, InputError
+from crosscap4.heegaard import t0
 from crosscap4.torus import (LATTICE_MAX_SIDE, Hand, TorusKnotClass, UNKNOT,
-                             alexander, alexander_family, canonicalize,
-                             mirror, sigma_lattice, sigma_rec,
-                             signature)
+                             alexander, alexander_family, alexander_t0,
+                             alexander_text, canonicalize, mirror,
+                             sigma_lattice, sigma_rec, signature)
 
 
 def coprime_pairs(limit, q_min=2):
@@ -20,6 +20,17 @@ def coprime_pairs(limit, q_min=2):
         for q in range(q_min, p):
             if math.gcd(p, q) == 1:
                 yield p, q
+
+
+# Coprime (p, q), p >= q >= 1, of genus (p-1)(q-1)/2 <= 10^4.
+small_genus_pairs = st.integers(1, 142).flatmap(
+    lambda q: st.tuples(st.integers(q, 1 + 2 * 10 ** 4 // max(q - 1, 1)),
+                        st.just(q))).filter(lambda pq: math.gcd(*pq) == 1)
+
+# Coefficient maps with some coefficient unequal to its mirror's.
+asymmetric_maps = st.dictionaries(
+    st.integers(-6, 6), st.integers(-9, 9), max_size=6).filter(
+        lambda d: any(d.get(-e, 0) != c for e, c in d.items()))
 
 
 class TestCanonicalize:
@@ -146,14 +157,13 @@ class TestSignature:
 
 class TestAlexander:
     def test_trefoil(self):
-        assert alexander(3, 2) == LaurentPoly({1: 1, 0: -1, -1: 1})
+        assert alexander(3, 2) == {1: 1, 0: -1, -1: 1}
 
     def test_t43(self):
-        assert alexander(4, 3) == \
-            LaurentPoly({3: 1, 2: -1, 0: 1, -2: -1, -3: 1})
+        assert alexander(4, 3) == {3: 1, 2: -1, 0: 1, -2: -1, -3: 1}
 
     def test_unknot(self):
-        assert alexander(1, 0) == LaurentPoly.one()
+        assert alexander(1, 0) == {0: 1}
 
     def test_rejects_negative_arguments(self):
         # T(-3,2) is the mirror trefoil, not an unknot
@@ -165,16 +175,49 @@ class TestAlexander:
     def test_properties_small(self):
         for p, q in coprime_pairs(20):
             poly = alexander(p, q)
-            a0, a = poly.symmetric_coeffs()  # raises if not symmetric
-            assert poly.eval_at_one() == 1
-            assert poly.max_exp() == (p - 1) * (q - 1) // 2
-            assert set(poly.terms.values()) <= {-1, 1}
+            assert all(poly.get(-e) == c for e, c in poly.items())
+            assert sum(poly.values()) == 1
+            assert max(poly) == (p - 1) * (q - 1) // 2
+            assert set(poly.values()) <= {-1, 1}
+
+    @given(small_genus_pairs)
+    def test_properties_random(self, pq):
+        poly = alexander(*pq)
+        assert 0 not in poly.values()
+        assert all(poly.get(-e) == c for e, c in poly.items())
+        assert sum(poly.values()) == 1
+        assert alexander_t0(poly) == t0(*pq)
 
     def test_family_formula(self):
         for k in range(2, 31):
             fam = alexander_family(k)
             assert fam == alexander(2 * k, 2 * k - 1), k
-            assert fam.eval_at_one() == 1
+            assert sum(fam.values()) == 1
+
+    def test_t0(self):
+        assert alexander_t0({1: 1, 0: -1, -1: 1}) == 1
+        assert alexander_t0({0: 1}) == 0
+        assert alexander_t0({}) == 0
+        assert alexander_t0({3: 1, 2: -1, 0: 1, -2: -1, -3: 1}) == 1
+        delta_3_5 = {4: 1, 3: -1, 1: 1, 0: -1, -1: 1, -3: -1, -4: 1}
+        assert alexander_t0(delta_3_5) == 2
+
+    def test_t0_names_the_mismatch(self):
+        with pytest.raises(ConsistencyError, match=r"coefficient of "
+                           r"T\^1 is 1 but of T\^-1 is 0"):
+            alexander_t0({1: 1})
+
+    @given(asymmetric_maps)
+    def test_t0_rejects_asymmetric(self, delta):
+        with pytest.raises(ConsistencyError, match="coefficient of T"):
+            alexander_t0(delta)
+
+    def test_render(self):
+        assert alexander_text({3: 1, 2: -1, 0: 1, -2: -1, -3: 1}) == \
+            "T^3 - T^2 + 1 - T^-2 + T^-3"
+        assert alexander_text({}) == "0"
+        assert alexander_text({1: 2, -1: -2}) == "2T - 2T^-1"
+        assert alexander_text({0: -3}) == "-3"
 
 
 def test_cli_import_leaves_numpy_unloaded():
