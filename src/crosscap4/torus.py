@@ -96,6 +96,7 @@ def sigma_rec(p, q):
     Euclid's algorithm, so the cost is O(log p) with no stack growth.
     """
     _check_pair("sigma_rec", p, q)
+    pair = (p, q)
     total = 0
     sign = 1
     while True:
@@ -134,7 +135,7 @@ def sigma_rec(p, q):
             raise ConsistencyError("p = 2q cannot occur for coprime q >= 2")
     result = total + sign * base
     if result % 2:
-        raise ConsistencyError("odd signature value for (%d, %d)" % (p, q))
+        raise ConsistencyError("odd signature value for (%d, %d)" % pair)
     return result
 
 
@@ -233,7 +234,7 @@ def alexander_family(k):
     Must agree with alexander(2k, 2k-1) exactly.
     """
     if k < 2:
-        raise ValueError("family formula needs k >= 2")
+        raise InputError("family formula needs k >= 2, got %d" % k)
     terms = {0: 1}
     for j in range(1, k):
         top = j * (2 * k - 1)

@@ -44,6 +44,22 @@ def test_report_json(capsys):
     assert payload["exact"] is True
 
 
+def test_report_json_streams_a_long_trace(capsys):
+    r = reports.report(20001, 20000)
+    assert len(r.pinch_trace) > reports.TRACE_BATCH
+    code, out, err = run(capsys, "report", "20001", "20000", "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(vars(r), indent=2) + "\n"
+
+
+def test_report_text_trace_line(capsys):
+    r = reports.report(20001, 20000)
+    code, out, err = run(capsys, "report", "20001", "20000")
+    assert (code, err) == (0, "")
+    assert out.endswith("\npinch trace: %s\n" % " -> ".join(
+        "(%d,%d)" % pair for pair in r.pinch_trace))
+
+
 def test_report_determinism(capsys):
     _, out1, _ = run(capsys, "report", "6", "5", "--json")
     _, out2, _ = run(capsys, "report", "6", "5", "--json")
@@ -107,7 +123,8 @@ def test_scan_streams_rows_before_a_failed_check(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["pinch", "100000", "99999"],
-                                  ["scan", "--max", "200", "--csv"]])
+                                  ["scan", "--max", "200", "--csv"],
+                                  ["report", "200001", "200000", "--json"]])
 def test_closed_stdout_exits_quietly(argv):
     src = os.path.dirname(os.path.dirname(crosscap4.__file__))
     env = dict(os.environ, PYTHONPATH=src)

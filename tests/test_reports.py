@@ -2,17 +2,18 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crosscap4 import heegaard, pinch, reports, torus
 from crosscap4.bounds import gamma4_lower
 from crosscap4.errors import InputError
-from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON, TSV,
-                               BoundReport, emit_json, family_table, report,
-                               write_rows)
+from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON,
+                               TRACE_BATCH, TSV, BoundReport, batched_join,
+                               emit_json, family_table, report, write_rows)
 from crosscap4.torus import canonicalize, mirror
 
 
@@ -170,6 +171,16 @@ def test_report_computes_each_invariant_once(monkeypatch):
     assert calls == {"sigma_rec": 1, "t0": 1, "pinch_walk": 1}
 
 
+def check_same_text(text, expected):
+    """Raise AssertionError naming the first difference, if any.  pytest
+    would diff two long texts line by line, which takes minutes for a
+    trace of thousands of pairs at each of hypothesis' shrink steps."""
+    if text != expected:
+        i = len(os.path.commonprefix([text, expected]))
+        raise AssertionError("texts differ at character %d: %r != %r"
+                             % (i, text[i:i + 40], expected[i:i + 40]))
+
+
 coprime = st.tuples(st.integers(1, 2000), st.integers(1, 2000)).filter(
     lambda pq: math.gcd(*pq) == 1)
 
@@ -183,6 +194,59 @@ def test_report_properties(pq):
     assert r.gamma4_lower <= r.gamma4_upper
     K = canonicalize(p, q)
     assert gamma4_lower(K) == gamma4_lower(mirror(K)) == r.gamma4_lower
-    payload = json.loads(emit_json(r))
+    text = emit_json(r)
+    check_same_text(text, json.dumps(vars(r), indent=2))
+    payload = json.loads(text)
     payload["pinch_trace"] = tuple(map(tuple, payload["pinch_trace"]))
     assert BoundReport(**payload) == r
+
+
+big_ints = st.integers() | st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def synthetic_reports(draw):
+    """BoundReports with arbitrary field values; the trace repeats a short
+    list of pairs once or TRACE_BATCH + 1 times, so it can hold 0 pairs,
+    1 pair or more than one batch."""
+    names = [f.name for f in dataclasses.fields(BoundReport)]
+    values = {n: draw(big_ints) for n in names[:9]}
+    pairs = draw(st.lists(st.tuples(big_ints, big_ints), max_size=3))
+    return BoundReport(
+        **values, exact=draw(st.booleans()),
+        gamma3_upper=draw(st.none() | big_ints),
+        pinch_trace=tuple(pairs * draw(st.sampled_from([1, TRACE_BATCH + 1]))))
+
+
+def filled(trace, exact, gamma3_upper, value):
+    return BoundReport(*[value] * 9, exact=exact, gamma3_upper=gamma3_upper,
+                       pinch_trace=trace)
+
+
+@settings(deadline=None)
+@given(synthetic_reports())
+@example(filled((), True, None, -1))
+@example(filled(((2 ** 64 + 1, -(2 ** 65)),), False, 2 ** 64, 2 ** 64 + 1))
+@example(filled(((5, 4), (3, 2)) * TRACE_BATCH + ((1, 0),), True, 7, -3))
+def test_emit_json_matches_stdlib_on_synthetic_reports(r):
+    check_same_text(emit_json(r), json.dumps(vars(r), indent=2))
+
+
+def test_json_parts_hold_at_most_one_batch():
+    trace = ((10 ** 6, 10 ** 6 - 1),) * (3 * TRACE_BATCH + 5)
+    r = filled(trace, True, None, 0)
+    parts = list(reports._json_parts(r))
+    assert len(parts) == 2 + 4
+    pair_text = len(reports._JSON_PAIR % trace[0]) + 1
+    assert max(map(len, parts)) <= TRACE_BATCH * pair_text
+    check_same_text("".join(parts), json.dumps(vars(r), indent=2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, TRACE_BATCH, TRACE_BATCH + 1,
+                               2 * TRACE_BATCH + 3])
+def test_batched_join_equals_whole_join(n):
+    pairs = tuple((i, -i) for i in range(n))
+    parts = list(batched_join(" -> ", "(%d,%d)", pairs))
+    assert len(parts) == -(-n // TRACE_BATCH)
+    check_same_text("".join(parts),
+                    " -> ".join("(%d,%d)" % pq for pq in pairs))

@@ -194,6 +194,12 @@ class TestAlexander:
             assert fam == alexander(2 * k, 2 * k - 1), k
             assert sum(fam.values()) == 1
 
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_family_formula_rejects_small_k(self, k):
+        with pytest.raises(InputError,
+                           match=r"family formula needs k >= 2, got %d" % k):
+            alexander_family(k)
+
     def test_t0(self):
         assert alexander_t0({1: 1, 0: -1, -1: 1}) == 1
         assert alexander_t0({0: 1}) == 0
@@ -220,10 +226,20 @@ class TestAlexander:
         assert alexander_text({0: -3}) == "-3"
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def loaded_by_cli_import(module):
+    """Whether a fresh interpreter holds module after importing the CLI."""
     src = os.path.dirname(os.path.dirname(crosscap4.__file__))
-    code = "import sys, crosscap4.cli; print('numpy' in sys.modules)"
+    code = "import sys, crosscap4.cli; print(%r in sys.modules)" % module
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out == "False\n"
+    return {"True\n": True, "False\n": False}[out]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert loaded_by_cli_import("numpy") is False
+
+
+def test_cli_import_leaves_json_unloaded():
+    # reports formats JSON itself; the stdlib encoder is only a test oracle
+    assert loaded_by_cli_import("json") is False
