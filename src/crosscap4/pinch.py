@@ -7,12 +7,26 @@ bound for the nonorientable four-ball genus; continuing until a coordinate
 vanishes gives the in-S^3 (crosscap) bound when pq is even.
 
 A walk takes O(p) steps on near-diagonal pairs (about p/2 for
-T(2k, 2k-1)), so pinch_walk accepts p <= PINCH_MAX_P.  One step costs two
-builtin modular inverses and a tuple, and the walk yields each step as it
-is made, so no caller has to hold the whole walk.
+T(2k, 2k-1)), but they fall into few runs of constant displacement (a, b),
+at most p.bit_length() on every pair the tests try: step i of a run
+starts at (p_i, q_i) = (p - 2ia, q - 2ib).  p*h - q*t = 1 at every step
+with q >= 2.  When a run's first pinch lands on the positive quadrant
+(POSITIVE), (t, h) = (a, b) keeps that identity at every pair of the run;
+when it lands on the negative one (MIRRORED), (t, h) = (p_i - a, q_i - b)
+does.  So while p_i > a, q_i > b and p_i > q_i, those are exactly the
+inverses a step computes.  The second condition implies the other two,
+so a run's length is one floor division.  The GAMMA3 continuation
+through T(m,1) is one TAIL run (t = p_i - 1, h = 0, a, b = 1, 0) of m/2
+steps.
+
+pinch_runs yields the runs, with two modular inverses per run;
+gamma4_upper and gamma3_upper sum their lengths, and run_columns expands
+a run into its steps as ranges, so no caller makes a Python object per
+step unless it wants one (pinch_walk does).
 """
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
@@ -20,9 +34,14 @@ from .errors import ConsistencyError, InputError
 GAMMA4 = "gamma4"
 GAMMA3 = "gamma3"
 
-# A walk from T(p, q) takes fewer than p steps; `pinch 1000000 999999`
-# (500,000 steps, streamed) takes about 2 s and 17 MB on a 2-vCPU Intel
-# Xeon VM.
+# Run kinds: how a run's inverses (t, h) follow its pairs.
+POSITIVE = "positive"  # t, h = a, b
+MIRRORED = "mirrored"  # t, h = p_i - a, q_i - b
+TAIL = "tail"  # (m, 1) -> (m-2, 1): t, h = p_i - 1, 0 with a, b = 1, 0
+
+# A walk from T(p, q) takes fewer than p steps, in few runs; `pinch
+# 1000000 999999` (500,000 steps in one run, streamed) takes about 0.7 s
+# and 16 MB on a 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
 PINCH_MAX_P = 10 ** 6
 
 
@@ -44,16 +63,19 @@ def pinch_step(p, q):
     return PinchStep((p, q), t, h, (p - 2 * t, q - 2 * h))
 
 
-def pinch_walk(K, mode=GAMMA4):
-    """Yield the pinch moves from K down to the mode's terminal form.
+def pinch_runs(K, mode=GAMMA4):
+    """Yield the pinch walk from K to the mode's terminal form as runs
+    (p, q, a, b, kind, n): step i < n of a run starts at (p - 2ia, q - 2ib).
 
     GAMMA4 stops at the first unknot (q <= 1); GAMMA3 (pq even only) keeps
-    pinching through T(n,1) forms until a coordinate is 0.  The GAMMA4 walk
-    is therefore the prefix of the GAMMA3 walk whose steps start at q > 1.
-    The arguments are checked at the call, not at the first step: raises
-    InputError for GAMMA3 with pq odd and when K.p exceeds PINCH_MAX_P.
-    Parity, primitivity and strict decrease are checked at every step,
-    with a hard cap of K.p steps.
+    pinching through T(n,1) forms until a coordinate is 0, so the GAMMA4
+    walk is the GAMMA3 walk less its TAIL run.  The arguments are checked
+    at the call, not at the first run: raises InputError for GAMMA3 with pq
+    odd and when K.p exceeds PINCH_MAX_P.  Each run is checked before it
+    is yielded, and the checks cover every one of its steps: the inverses
+    at its start, its domain at its first and last pair (each condition is
+    linear in i), primitivity and strict decrease of its last landing, and
+    a cap of K.p steps in all.
     """
     if mode not in (GAMMA4, GAMMA3):
         raise ValueError("unknown mode %r" % (mode,))
@@ -62,38 +84,100 @@ def pinch_walk(K, mode=GAMMA4):
     if K.p > PINCH_MAX_P:
         raise InputError("pinch accepts p <= %d, got %d"
                          % (PINCH_MAX_P, K.p))
-    return _walk(K, 1 if mode == GAMMA4 else 0)
+    return _runs(K, 1 if mode == GAMMA4 else 0)
 
 
-def _walk(K, q_stop):
+def _runs(K, q_stop):
     p, q = K.p, K.q
-    n = 0
+    total = 0
+    # Parity needs no check: every displacement 2a, 2b is even.
     while q > q_stop:  # pairs stay descending, so q is the smaller one
-        if n >= K.p:
+        if q == 1:  # the run ends at (2, 1), landing on (0, 1)
+            if p % 2:
+                raise ConsistencyError("pinch tail from (%d, 1) has odd "
+                                       "length" % p)
+            a, b, kind, n = 1, 0, TAIL, p // 2
+        else:
+            _, t, h, (r, _) = pinch_step(p, q)
+            if p * h - q * t != 1 or not (0 < t < p and 0 < h < q):
+                raise ConsistencyError(
+                    "pinch inverses t=%d, h=%d fail p*h - q*t = 1 at "
+                    "(%d, %d)" % (t, h, p, q))
+            if r > 0:
+                a, b, kind = t, h, POSITIVE
+            else:
+                a, b, kind = p - t, q - h, MIRRORED
+            # The steps with q_i > b.  With p_i*b - q_i*a = +-1 and a >= b
+            # (both kinds), that gives p_i > a and p_i > q_i.
+            n = -((b - q) // (2 * b))
+        pl, ql = p - 2 * (n - 1) * a, q - 2 * (n - 1) * b
+        if not (n >= 1 and p > a and q > b and p > q
+                and pl > a and ql > b and pl > ql):
+            raise ConsistencyError("pinch run of %d steps from (%d, %d) "
+                                   "leaves its domain" % (n, p, q))
+        run = p, q, a, b, kind, n
+        r, s = landing(run)
+        if math.gcd(r, s) != 1:
+            raise ConsistencyError("pinch left a non-primitive class")
+        if r >= pl:
+            raise ConsistencyError("pinch failed to decrease from %d" % pl)
+        total += n
+        if total > K.p:
             raise ConsistencyError(
                 "pinch sequence from %s exceeded %d steps" % (K, K.p))
-        step = pinch_step(p, q)
-        r, s = step.raw_to
-        if (r - p) % 2 or (s - q) % 2:
-            raise ConsistencyError("pinch broke parity at %s" % (step,))
-        if math.gcd(abs(r), abs(s)) != 1:
-            raise ConsistencyError("pinch left a non-primitive class")
-        r, s = abs(r), abs(s)
-        if s > r:
-            r, s = s, r
-        if r >= p:
-            raise ConsistencyError("pinch failed to decrease from %d" % p)
-        yield step
+        yield run
         p, q = r, s
-        n += 1
+
+
+def landing(run):
+    """The pair the last step of run lands on, canonical (p >= q >= 0)."""
+    p, q, a, b, _, n = run
+    r, s = abs(p - 2 * n * a), abs(q - 2 * n * b)
+    return (r, s) if r >= s else (s, r)
+
+
+def _column(x, d, k, mirrored):
+    """Coordinate x of k steps of displacement d: the pairs' x, its inverse
+    (t or h) and the raw landing's x."""
+    if d == 0:  # the TAIL's q: constant 1, h = 0
+        return repeat(x, k), repeat(0, k), repeat(x, k)
+    xs = range(x, x - 2 * k * d, -2 * d)
+    if mirrored:
+        return (xs, range(x - d, x - d - 2 * k * d, -2 * d),
+                range(2 * d - x, 2 * d - x + 2 * k * d, 2 * d))
+    return xs, repeat(d, k), range(x - 2 * d, x - 2 * (k + 1) * d, -2 * d)
+
+
+def run_columns(run, lo=0, hi=None):
+    """Steps lo <= i < hi (default: all) of run as six columns p, q, t, h,
+    r, s, ranges or repeats, so that zip(*columns) gives each step's
+    (p, q, t, h, r, s) with (r, s) = (p - 2t, q - 2h)."""
+    p, q, a, b, kind, n = run
+    hi = n if hi is None else hi
+    ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind != POSITIVE)
+    qs, hs, ss = _column(q - 2 * lo * b, b, hi - lo, kind == MIRRORED)
+    return ps, qs, ts, hs, rs, ss
+
+
+def pinch_walk(K, mode=GAMMA4):
+    """Yield the pinch moves from K down to the mode's terminal form, one
+    PinchStep each: pinch_runs expanded step by step.  The arguments are
+    checked at the call, as pinch_runs checks them."""
+    return _expand(pinch_runs(K, mode))
+
+
+def _expand(runs):
+    for run in runs:
+        ps, qs, ts, hs, rs, ss = run_columns(run)
+        yield from map(PinchStep, zip(ps, qs), ts, hs, zip(rs, ss))
 
 
 def gamma4_upper(K):
     """b1 of the pinch surface bounding K: an upper bound for the
     nonorientable four-ball genus.  1 for the unknot (Mobius band)."""
-    return max(1, sum(1 for _ in pinch_walk(K, GAMMA4)))
+    return max(1, sum(run[5] for run in pinch_runs(K, GAMMA4)))
 
 
 def gamma3_upper(K):
     """b1 of the in-S^3 pinch surface; requires p*q even."""
-    return max(1, sum(1 for _ in pinch_walk(K, GAMMA3)))
+    return max(1, sum(run[5] for run in pinch_runs(K, GAMMA3)))

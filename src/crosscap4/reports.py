@@ -8,12 +8,12 @@ from typing import Optional
 from .bounds import _gamma4_lower
 from .errors import ConsistencyError, InputError
 from .heegaard import _hand_d_pm1, t0
-from .pinch import GAMMA3, GAMMA4, pinch_walk
+from .pinch import GAMMA3, GAMMA4, TAIL, landing, pinch_runs
 from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 
-# Row k walks about k pinch steps, so a table costs O(k_max^2): streamed,
-# `table --family 2k --kmax 1000 --json` takes about 2 s and 17 MB on a
-# 2-vCPU Xeon VM.
+# Row k walks its k - 1 pinch steps in one run, but its trace holds k
+# pairs, so a table still makes O(k_max^2) pairs: streamed, `table --family
+# 2k --kmax 1000 --json` takes about 0.6 s and 17 MB on a 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
@@ -72,18 +72,19 @@ def report(p, q):
     lower = _gamma4_lower(sigma, t0_val)
 
     # One walk serves both upper bounds and the trace: when pq is even it
-    # is the GAMMA3 walk, whose steps from a pair with q > 1 are the GAMMA4
-    # walk.  The trace holds the start and each GAMMA4 landing, descending.
+    # is the GAMMA3 walk, whose runs less its TAIL are the GAMMA4 walk.  The
+    # trace holds the start of each GAMMA4 step, then the last landing.
     even = (K.p * K.q) % 2 == 0
-    walk = pinch_walk(K, GAMMA3 if even else GAMMA4)
-    trace = [(K.p, K.q)]
-    n3 = 0
-    for (_, q_from), _, _, (r, s) in walk:
-        n3 += 1
-        if q_from > 1:
-            r, s = abs(r), abs(s)
-            trace.append((max(r, s), min(r, s)))
-    upper = max(1, len(trace) - 1)
+    trace, n3, last = [], 0, (K.p, K.q)
+    for run in pinch_runs(K, GAMMA3 if even else GAMMA4):
+        p0, q0, a, b, kind, n = run
+        n3 += n
+        if kind != TAIL:
+            trace.extend(zip(range(p0, p0 - 2 * n * a, -2 * a),
+                             range(q0, q0 - 2 * n * b, -2 * b)))
+            last = landing(run)
+    upper = max(1, len(trace))
+    trace.append(last)
     if lower > upper:
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
                                % (lower, upper, K))

@@ -1,12 +1,17 @@
 """Brute-force oracles that only the tests call.
 
 minmax_over_framings checks the closed-form lower bound gamma4_lower by
-minimizing the per-framing obstruction over a whole window of framings.
+minimizing the per-framing obstruction over a whole window of framings;
+step_walk checks the pinch runs by making the walk one step at a time.
 """
+
+import math
 
 import numpy as np
 
+from crosscap4.errors import ConsistencyError
 from crosscap4.heegaard import d_pm1
+from crosscap4.pinch import GAMMA4, pinch_step
 from crosscap4.torus import mirror, signature
 
 
@@ -25,3 +30,30 @@ def minmax_over_framings(K, n_lo, n_hi):
         np.maximum(vals, 0, out=vals)
         best = max(best, int(vals.min()))
     return best
+
+
+def step_walk(K, mode=GAMMA4):
+    """The pinch walk of pinch_walk made one pinch_step at a time, with
+    parity, primitivity and strict decrease checked at every step and a cap
+    of K.p steps: the oracle for pinch_runs."""
+    q_stop = 1 if mode == GAMMA4 else 0
+    p, q = K.p, K.q
+    n = 0
+    while q > q_stop:  # pairs stay descending, so q is the smaller one
+        if n >= K.p:
+            raise ConsistencyError(
+                "pinch sequence from %s exceeded %d steps" % (K, K.p))
+        step = pinch_step(p, q)
+        r, s = step.raw_to
+        if (r - p) % 2 or (s - q) % 2:
+            raise ConsistencyError("pinch broke parity at %s" % (step,))
+        if math.gcd(abs(r), abs(s)) != 1:
+            raise ConsistencyError("pinch left a non-primitive class")
+        r, s = abs(r), abs(s)
+        if s > r:
+            r, s = s, r
+        if r >= p:
+            raise ConsistencyError("pinch failed to decrease from %d" % p)
+        yield step
+        p, q = r, s
+        n += 1

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 import crosscap4
 from crosscap4 import heegaard, pinch, reports, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
-from crosscap4.cli import MAX_DIGITS, SCAN_MAX, main
+from crosscap4.cli import MAX_DIGITS, PINCH_BATCH, SCAN_MAX, main
 from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import PINCH_MAX_P
 from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
-from crosscap4.torus import LATTICE_MAX_SIDE
+from crosscap4.torus import LATTICE_MAX_SIDE, canonicalize
+from oracles import step_walk
 
 # Above MAX_DIGITS, and near 3,000 digits, where t0, sigma and c1^2 would
 # pass Python's 4,300-digit limit on int-to-str conversion.
@@ -48,6 +49,17 @@ def test_report_json_streams_a_long_trace(capsys):
     r = reports.report(20001, 20000)
     assert len(r.pinch_trace) > reports.TRACE_BATCH
     code, out, err = run(capsys, "report", "20001", "20000", "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(vars(r), indent=2) + "\n"
+
+
+def test_report_json_on_a_multi_run_walk(capsys):
+    r = reports.report(621645, 414437)
+    steps = list(step_walk(canonicalize(621645, 414437), pinch.GAMMA4))
+    r_, s_ = map(abs, steps[-1].raw_to)
+    assert r.pinch_trace == tuple(s.from_pair for s in steps) + (
+        (max(r_, s_), min(r_, s_)),)
+    code, out, err = run(capsys, "report", "621645", "414437", "--json")
     assert (code, err) == (0, "")
     assert out == json.dumps(vars(r), indent=2) + "\n"
 
@@ -147,24 +159,47 @@ def test_pinch_trace(capsys):
     assert len(lines) == 3
 
 
+STEP_LINE = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
+
+
+def oracle_lines(p, q, mode):
+    return "".join(STEP_LINE % (fp + (t, h) + raw)
+                   for fp, t, h, raw in step_walk(canonicalize(p, q), mode))
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (("20001", "20000"), pinch.GAMMA4),  # one run of 10,000 > PINCH_BATCH
+    (("2998", "3", "--gamma3"), pinch.GAMMA3),  # a 500-step tail
+    (("621645", "414437"), pinch.GAMMA4),  # two runs, the second mirrored
+])
+def test_pinch_output_equals_step_walk(capsys, argv, mode):
+    assert PINCH_BATCH < 10000  # the first case spans several batches
+    code, out, err = run(capsys, "pinch", *argv)
+    assert (code, err) == (0, "")
+    assert out == oracle_lines(int(argv[0]), int(argv[1]), mode)
+
+
 def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
-    made = []
+    # T(47,26) walks a run of 3 steps from (47,26), then one of 2 from (7,4).
+    # The inverses of the second run's start are made wrong; the first
+    # run's lines are already out when its check fails.
+    starts = []
 
-    def third_step_not_primitive(p, q, _step=pinch.pinch_step):
+    def bad_second_inverse(p, q, _step=pinch.pinch_step):
         step = _step(p, q)
-        made.append(step)
-        if len(made) == 3:
-            r, s = step.raw_to
-            return step._replace(raw_to=(3 * r, 3 * s))  # parity kept
-        return step
+        starts.append((p, q))
+        return step._replace(t=step.t + 1) if len(starts) == 2 else step
 
-    monkeypatch.setattr(pinch, "pinch_step", third_step_not_primitive)
-    code, out, err = run(capsys, "pinch", "20", "19")
+    monkeypatch.setattr(pinch, "pinch_step", bad_second_inverse)
+    code, out, err = run(capsys, "pinch", "47", "26")
     assert code == 3
-    assert err == "internal error: pinch left a non-primitive class\n"
-    assert out == "".join("(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
-                          % (fp + (t, h) + raw) for fp, t, h, raw in made[:2])
-    assert out.startswith("(20,19) --t=1,h=1--> (18,17)\n")
+    assert starts == [(47, 26), (7, 4)]
+    assert err == ("internal error: pinch inverses t=6, h=3 fail "
+                   "p*h - q*t = 1 at (7, 4)\n")
+    lines = oracle_lines(47, 26, pinch.GAMMA4).splitlines(keepends=True)
+    assert lines[3].startswith("(7,4) ")
+    assert out == "".join(lines[:3])
+    assert out.startswith("(47,26) --t=9,h=5--> (29,16)\n")
 
 
 def test_pinch_gamma3(capsys):

@@ -5,9 +5,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crosscap4.bounds import gamma4_lower
 from crosscap4.errors import InputError
-from crosscap4.pinch import (GAMMA3, GAMMA4, PINCH_MAX_P, gamma3_upper,
-                             gamma4_upper, pinch_step, pinch_walk)
+from crosscap4.pinch import (GAMMA3, GAMMA4, MIRRORED, PINCH_MAX_P, POSITIVE,
+                             TAIL, PinchStep, gamma3_upper, gamma4_upper,
+                             landing, pinch_runs, pinch_step, pinch_walk,
+                             run_columns)
 from crosscap4.torus import UNKNOT, Hand, canonicalize
+from oracles import step_walk
 
 
 def test_step_t43():
@@ -131,3 +134,89 @@ def test_upper_never_below_lower():
                 continue
             K = canonicalize(p, q)
             assert gamma4_upper(K) >= gamma4_lower(K), (p, q)
+
+
+def check_runs_against_oracle(p, q):
+    K = canonicalize(p, q)
+    for mode in (GAMMA4, GAMMA3) if (p * q) % 2 == 0 else (GAMMA4,):
+        runs = list(pinch_runs(K, mode))
+        steps = list(step_walk(K, mode))
+        assert list(pinch_walk(K, mode)) == steps, (p, q, mode)
+        assert len(runs) <= p.bit_length(), (p, q, mode, len(runs))
+        upper = gamma4_upper(K) if mode == GAMMA4 else gamma3_upper(K)
+        assert upper == max(1, len(steps)), (p, q, mode)
+        if runs:  # each run starts where the one before it landed
+            assert [run[:2] for run in runs[1:]] == list(map(landing,
+                                                             runs[:-1]))
+
+
+def test_runs_equal_step_walk_sweep():
+    for p in range(3, 300):
+        for q in range(2, p):
+            if math.gcd(p, q) == 1:
+                check_runs_against_oracle(p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 10 ** 6), st.data())
+def test_runs_equal_step_walk_property(p, data):
+    q = data.draw(st.one_of(st.integers(2, p - 1),
+                            st.integers(max(2, p // 2 - 20), p // 2 + 20),
+                            st.integers(max(2, p - 20), p - 1)))
+    assume(q < p and math.gcd(p, q) == 1)
+    check_runs_against_oracle(p, q)
+
+
+def test_runs_multi_run_mirrored_walk():
+    K = canonicalize(621645, 414437)
+    runs = list(pinch_runs(K, GAMMA4))
+    assert len(runs) > 1
+    assert MIRRORED in [run[4] for run in runs]
+    assert sum(run[5] for run in runs) == gamma4_upper(K) == 4944
+    assert list(pinch_walk(K, GAMMA4)) == list(step_walk(K, GAMMA4))
+
+
+def test_runs_gamma3_tail():
+    K = canonicalize(2998, 3)
+    runs = list(pinch_runs(K, GAMMA3))
+    assert [run[4] for run in runs] == [POSITIVE, TAIL]
+    assert runs[-1] == (1000, 1, 1, 0, TAIL, 500)
+    steps = list(pinch_walk(K, GAMMA3))
+    assert steps == list(step_walk(K, GAMMA3))
+    assert steps[-2:] == [PinchStep((4, 1), 3, 0, (-2, 1)),
+                          PinchStep((2, 1), 1, 0, (0, 1))]
+    assert gamma3_upper(K) == 501
+    assert list(pinch_runs(K, GAMMA4)) == runs[:-1]  # no tail in GAMMA4
+
+
+def test_runs_q2_lands_on_a_zero_coordinate():
+    run, = pinch_runs(canonicalize(7, 2), GAMMA4)
+    assert run == (7, 2, 3, 1, POSITIVE, 1)
+    assert list(pinch_walk(canonicalize(7, 2), GAMMA4)) == [
+        PinchStep((7, 2), 3, 1, (1, 0))]
+    assert landing(run) == (1, 0)
+    assert list(pinch_runs(canonicalize(7, 2), GAMMA3)) == [run]
+
+
+def test_runs_family_is_one_run():
+    K = canonicalize(999998, 999997)
+    run, = pinch_runs(K, GAMMA4)
+    assert run == (999998, 999997, 1, 1, POSITIVE, 499998)
+    assert landing(run) == (2, 1)
+    assert gamma4_upper(K) == 499998
+
+
+def test_runs_columns_slice_a_run():
+    run = (20001, 20000, 1, 1, POSITIVE, 10000)
+    whole = list(zip(*run_columns(run)))
+    for lo, hi in ((0, 1), (3, 4099), (9999, 10000), (5, 5)):
+        assert list(zip(*run_columns(run, lo, hi))) == whole[lo:hi]
+
+
+def test_runs_checked_at_the_call():
+    with pytest.raises(ValueError, match="unknown mode"):
+        pinch_runs(canonicalize(4, 3), "gamma5")
+    with pytest.raises(InputError, match=r"needs p\*q even"):
+        pinch_runs(canonicalize(7, 3), GAMMA3)
+    with pytest.raises(InputError, match="pinch accepts p <= "):
+        pinch_runs(canonicalize(PINCH_MAX_P + 1, 3), GAMMA4)

@@ -154,7 +154,7 @@ def test_family_table_makes_rows_lazily(monkeypatch):
 
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = {}
-    for fn in (torus.sigma_rec, heegaard.t0, pinch.pinch_walk):
+    for fn in (torus.sigma_rec, heegaard.t0, pinch.pinch_runs):
         calls[fn.__name__] = 0
 
         def counted(*args, _fn=fn):
@@ -168,7 +168,7 @@ def test_report_computes_each_invariant_once(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
     report(10, 9)
-    assert calls == {"sigma_rec": 1, "t0": 1, "pinch_walk": 1}
+    assert calls == {"sigma_rec": 1, "t0": 1, "pinch_runs": 1}
 
 
 def check_same_text(text, expected):
