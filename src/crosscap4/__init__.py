@@ -4,8 +4,8 @@ of torus knots, in exact integer and rational arithmetic."""
 from .bounds import (AuditRecord, framed_profile, gamma4_lower,
                      obstruction_audit)
 from .heegaard import d_b_circle_bundle, d_minus1_alternating, d_pm1, t0
-from .pinch import (GAMMA3, GAMMA4, PinchStep, gamma3_upper, gamma4_upper,
-                    pinch_runs, pinch_step, pinch_walk)
+from .pinch import (GAMMA3, GAMMA4, gamma3_upper, gamma4_upper, pinch_runs,
+                    pinch_step)
 from .reports import (BoundReport, emit_json, family_table, report, write_rows)
 from .torus import (Hand, TorusKnotClass, UNKNOT, alexander, alexander_family,
                     alexander_t0, alexander_text, canonicalize, mirror,

@@ -22,12 +22,11 @@ steps.
 pinch_runs yields the runs, with two modular inverses per run;
 gamma4_upper and gamma3_upper sum their lengths, and run_columns expands
 a run into its steps as ranges, so no caller makes a Python object per
-step unless it wants one (pinch_walk does).
+step.
 """
 
 import math
 from itertools import repeat
-from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
 
@@ -45,22 +44,16 @@ TAIL = "tail"  # (m, 1) -> (m-2, 1): t, h = p_i - 1, 0 with a, b = 1, 0
 PINCH_MAX_P = 10 ** 6
 
 
-class PinchStep(NamedTuple):
-    from_pair: tuple  # (p, q) with p > q >= 1
-    t: int
-    h: int
-    raw_to: tuple  # (r, s) = (p - 2t, q - 2h), signs as computed
-
-
 def pinch_step(p, q):
-    """One pinch move on T(p,q), p > q >= 1 coprime."""
+    """The inverses (t, h) of one pinch move on T(p,q), p > q >= 1
+    coprime: it lands on (p - 2t, q - 2h), signs as computed."""
     if math.gcd(p, q) != 1:
         raise InputError("(%d, %d) are not coprime" % (p, q))
     if p <= q or q < 1:
         raise InputError("pinch needs p > q >= 1, got (%d, %d)" % (p, q))
     t = -pow(q, -1, p) % p
     h = pow(p, -1, q)  # 0 for q = 1: every residue mod 1 is 0
-    return PinchStep((p, q), t, h, (p - 2 * t, q - 2 * h))
+    return t, h
 
 
 def pinch_runs(K, mode=GAMMA4):
@@ -98,12 +91,12 @@ def _runs(K, q_stop):
                                        "length" % p)
             a, b, kind, n = 1, 0, TAIL, p // 2
         else:
-            _, t, h, (r, _) = pinch_step(p, q)
+            t, h = pinch_step(p, q)
             if p * h - q * t != 1 or not (0 < t < p and 0 < h < q):
                 raise ConsistencyError(
                     "pinch inverses t=%d, h=%d fail p*h - q*t = 1 at "
                     "(%d, %d)" % (t, h, p, q))
-            if r > 0:
+            if p - 2 * t > 0:
                 a, b, kind = t, h, POSITIVE
             else:
                 a, b, kind = p - t, q - h, MIRRORED
@@ -157,19 +150,6 @@ def run_columns(run, lo=0, hi=None):
     ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind != POSITIVE)
     qs, hs, ss = _column(q - 2 * lo * b, b, hi - lo, kind == MIRRORED)
     return ps, qs, ts, hs, rs, ss
-
-
-def pinch_walk(K, mode=GAMMA4):
-    """Yield the pinch moves from K down to the mode's terminal form, one
-    PinchStep each: pinch_runs expanded step by step.  The arguments are
-    checked at the call, as pinch_runs checks them."""
-    return _expand(pinch_runs(K, mode))
-
-
-def _expand(runs):
-    for run in runs:
-        ps, qs, ts, hs, rs, ss = run_columns(run)
-        yield from map(PinchStep, zip(ps, qs), ts, hs, zip(rs, ss))
 
 
 def gamma4_upper(K):

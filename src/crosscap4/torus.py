@@ -1,10 +1,12 @@
 """Torus knot classes, Murasugi signatures, and Alexander polynomials.
 
-Sign conventions live here and nowhere else: RIGHT denotes the positive
-torus knot T(p,q), whose signature is negative (e.g. the right trefoil has
-signature -2); LEFT denotes its mirror.  sigma_rec and sigma_lattice both
-compute the nonnegative quantity -signature(T(p,q)) and cross-validate each
-other.  An Alexander polynomial is a map {exponent: coefficient}.
+The handedness and signature conventions live here: RIGHT denotes the
+positive torus knot T(p,q), whose signature is negative (e.g. the right
+trefoil has signature -2); LEFT denotes its mirror.  The d-invariant
+convention (the RIGHT knot has d(+1) = -2*t0) lives in
+heegaard._hand_d_pm1.  sigma_rec and sigma_lattice both compute the
+nonnegative quantity -signature(T(p,q)) and cross-validate each other.
+An Alexander polynomial is a map {exponent: coefficient}.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConsistencyError, InputError
+from .numtheory import floor_sum
 
 
 class Hand(Enum):
@@ -139,20 +142,17 @@ def sigma_rec(p, q):
     return result
 
 
-# The row count takes about 1 s at this shorter side.
-LATTICE_MAX_SIDE = 10 ** 6
-
-
 def sigma_lattice(p, q):
     """Independent lattice-point count of the same signature.
 
     Counts grid points (i, j), 1 <= i < p, 1 <= j < q, with
-    p*q < 2(i*q + j*p) < 3*p*q and returns 2*N_in - (p-1)(q-1).  The count
-    runs row by row over the shorter side: in each row both ends of the
-    strip are floor divisions, clipped to the rectangle, so the cost is
-    O(min(p, q)) time and O(1) memory.  Boundary equalities are impossible
-    by coprimality and are asserted against.  Raises InputError when the
-    shorter side exceeds LATTICE_MAX_SIDE.
+    p*q < 2(i*q + j*p) < 3*p*q and returns 2*N_in - (p-1)(q-1).  The map
+    (i, j) -> (p-i, q-j) swaps the two parts of the box outside the strip,
+    so N_in = (p-1)(q-1) - 2F, where F counts the points with
+    i*q + j*p <= c = floor((pq-1)/2).  There i < p/2 and j < q/2, so the
+    box never clips them, and F sums floor((c - j*p)/q) over 1 <= j <= c/p:
+    one floor_sum, O(log(p + q)) time.  Boundary equalities are impossible
+    by coprimality and are asserted against.
     """
     _check_pair("sigma_lattice", p, q)
     if p < 2 and q >= 2:
@@ -160,24 +160,17 @@ def sigma_lattice(p, q):
     if q < 1 or p < 2:
         raise InputError("sigma_lattice expects p >= 2, q >= 1, got "
                          "(%d, %d)" % (p, q))
-    a, b = max(p, q), min(p, q)  # i runs along a, j along b
-    if b > LATTICE_MAX_SIDE:
-        raise InputError("sigma_lattice accepts min(p, q) <= %d, got %d"
-                         % (LATTICE_MAX_SIDE, b))
-    m = 2 * b
-    n_in = 0
-    for j in range(1, b):
-        # 1 <= i < a with lo < i*m < lo + a*m; a boundary point can only
-        # sit at i = lo/m or i = lo/m + a
-        lo = p * q - 2 * j * a
-        if lo % m == 0 and 0 < abs(lo // m) < a:
+    if p * q % 2 == 0:
+        # the only point of i*q + j*p = pq/2 with 0 <= i < p; the
+        # reflection maps the 3pq/2 line onto this one
+        i = p * q // 2 * pow(q, -1, p) % p
+        j = (p * q // 2 - i * q) // p
+        if i > 0 and 0 < j < q:
             raise ConsistencyError("boundary lattice point for (%d, %d)"
                                    % (p, q))
-        first = max(lo // m + 1, 1)
-        last = min((lo - 1) // m + a, a - 1)
-        if last >= first:
-            n_in += last - first + 1
-    return 2 * n_in - (p - 1) * (q - 1)
+    c = (p * q - 1) // 2
+    n = c // p
+    return (p - 1) * (q - 1) - 4 * floor_sum(n, q, p, c - n * p)
 
 
 def signature(K):

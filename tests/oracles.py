@@ -33,9 +33,10 @@ def minmax_over_framings(K, n_lo, n_hi):
 
 
 def step_walk(K, mode=GAMMA4):
-    """The pinch walk of pinch_walk made one pinch_step at a time, with
-    parity, primitivity and strict decrease checked at every step and a cap
-    of K.p steps: the oracle for pinch_runs."""
+    """The pinch walk made one pinch_step at a time, with primitivity and
+    strict decrease checked at every step and a cap of K.p steps: the
+    oracle for pinch_runs.  Yields each step's (p, q, t, h, r, s), as
+    zip(*run_columns(run)) does, with (r, s) = (p - 2t, q - 2h)."""
     q_stop = 1 if mode == GAMMA4 else 0
     p, q = K.p, K.q
     n = 0
@@ -43,12 +44,11 @@ def step_walk(K, mode=GAMMA4):
         if n >= K.p:
             raise ConsistencyError(
                 "pinch sequence from %s exceeded %d steps" % (K, K.p))
-        step = pinch_step(p, q)
-        r, s = step.raw_to
-        if (r - p) % 2 or (s - q) % 2:
-            raise ConsistencyError("pinch broke parity at %s" % (step,))
+        t, h = pinch_step(p, q)
+        r, s = p - 2 * t, q - 2 * h
         if math.gcd(abs(r), abs(s)) != 1:
             raise ConsistencyError("pinch left a non-primitive class")
+        step = p, q, t, h, r, s
         r, s = abs(r), abs(s)
         if s > r:
             r, s = s, r

@@ -5,6 +5,7 @@ assertion is the corresponding fail.
 """
 
 import math
+from itertools import chain
 
 import pytest
 
@@ -13,8 +14,8 @@ from crosscap4.cli import main
 from crosscap4.errors import InputError
 from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
                                 d_pm1, t0)
-from crosscap4.pinch import (GAMMA4, gamma3_upper, gamma4_upper,
-                             pinch_walk)
+from crosscap4.pinch import (GAMMA4, gamma3_upper, gamma4_upper, pinch_runs,
+                             run_columns)
 from crosscap4.reports import emit_json, family_table, report
 from crosscap4.torus import (Hand, TorusKnotClass, alexander,
                              alexander_family, canonicalize, mirror,
@@ -106,11 +107,12 @@ def test_criterion_08_closed_form_equals_brute_force():
 
 def test_criterion_09_pinch_invariants():
     for p, q in coprime_pairs(300):
-        steps = list(pinch_walk(canonicalize(p, q), GAMMA4))
+        steps = list(chain.from_iterable(
+            zip(*run_columns(run))
+            for run in pinch_runs(canonicalize(p, q), GAMMA4)))
         prev_max = p
         for step in steps:
-            r, s = step.raw_to
-            fp, fq = step.from_pair
+            fp, fq, _, _, r, s = step
             assert (r - fp) % 2 == 0 and (s - fq) % 2 == 0
             assert math.gcd(abs(r), abs(s)) == 1
             assert max(abs(r), abs(s)) < prev_max

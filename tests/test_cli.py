@@ -15,7 +15,7 @@ from crosscap4.cli import MAX_DIGITS, PINCH_BATCH, SCAN_MAX, main
 from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import PINCH_MAX_P
 from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
-from crosscap4.torus import LATTICE_MAX_SIDE, canonicalize
+from crosscap4.torus import canonicalize
 from oracles import step_walk
 
 # Above MAX_DIGITS, and near 3,000 digits, where t0, sigma and c1^2 would
@@ -56,8 +56,8 @@ def test_report_json_streams_a_long_trace(capsys):
 def test_report_json_on_a_multi_run_walk(capsys):
     r = reports.report(621645, 414437)
     steps = list(step_walk(canonicalize(621645, 414437), pinch.GAMMA4))
-    r_, s_ = map(abs, steps[-1].raw_to)
-    assert r.pinch_trace == tuple(s.from_pair for s in steps) + (
+    r_, s_ = map(abs, steps[-1][4:])
+    assert r.pinch_trace == tuple(s[:2] for s in steps) + (
         (max(r_, s_), min(r_, s_)),)
     code, out, err = run(capsys, "report", "621645", "414437", "--json")
     assert (code, err) == (0, "")
@@ -106,6 +106,14 @@ def test_table_tsv_is_csv_with_tabs(capsys):
     code, out, _ = run(capsys, "table", "--family", "2k", "--kmax", "4")
     assert code == 0
     assert out == csv_out.replace(",", "\t")
+
+
+def test_table_unknown_family_exits_2(capsys):
+    # argparse's choices reject it before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "3k", "--kmax", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_scan(capsys):
@@ -163,8 +171,8 @@ STEP_LINE = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
 
 
 def oracle_lines(p, q, mode):
-    return "".join(STEP_LINE % (fp + (t, h) + raw)
-                   for fp, t, h, raw in step_walk(canonicalize(p, q), mode))
+    return "".join(STEP_LINE % step
+                   for step in step_walk(canonicalize(p, q), mode))
 
 
 @pytest.mark.parametrize("argv, mode", [
@@ -186,9 +194,9 @@ def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
     starts = []
 
     def bad_second_inverse(p, q, _step=pinch.pinch_step):
-        step = _step(p, q)
+        t, h = _step(p, q)
         starts.append((p, q))
-        return step._replace(t=step.t + 1) if len(starts) == 2 else step
+        return (t + 1, h) if len(starts) == 2 else (t, h)
 
     monkeypatch.setattr(pinch, "pinch_step", bad_second_inverse)
     code, out, err = run(capsys, "pinch", "47", "26")
@@ -219,6 +227,18 @@ def test_signature(capsys):
     assert code == 0
     assert "recursion: 16" in out
     assert "lattice:   16" in out
+
+
+@pytest.mark.parametrize("p, q", [
+    (1000002, 1000001),
+    (2000000000000000001, 2000000000000000000),
+])
+def test_signature_at_any_size(capsys, p, q):
+    code, out, err = run(capsys, "signature", str(p), str(q))
+    assert (code, err) == (0, "")
+    rec, lat = out.splitlines()
+    assert rec.startswith("recursion: ") and lat.startswith("lattice: ")
+    assert rec.split()[-1] == lat.split()[-1]
 
 
 def test_alexander(capsys):
@@ -302,7 +322,7 @@ def test_audit_out_of_range(capsys):
     ["pinch", str(PINCH_MAX_P + 1), str(PINCH_MAX_P), "--gamma3"],
     ["report", str(PINCH_MAX_P + 1), str(PINCH_MAX_P)],
     ["report", str(PINCH_MAX_P + 1), str(PINCH_MAX_P), "--json"],
-    ["signature", str(LATTICE_MAX_SIDE + 2), str(LATTICE_MAX_SIDE + 1)],
+    ["signature", str(10 ** MAX_DIGITS + 1), "2"],
     ["table", "--family", "2k", "--kmax", str(FAMILY_MAX_K + 1)],
     ["scan", "--max", str(SCAN_MAX + 1)],
     ["profile", "4", "3", "--from", "1", "--to", str(PROFILE_MAX_ROWS + 1)],

@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,30 +7,37 @@ from hypothesis import assume, given, settings, strategies as st
 from crosscap4.bounds import gamma4_lower
 from crosscap4.errors import InputError
 from crosscap4.pinch import (GAMMA3, GAMMA4, MIRRORED, PINCH_MAX_P, POSITIVE,
-                             TAIL, PinchStep, gamma3_upper, gamma4_upper,
-                             landing, pinch_runs, pinch_step, pinch_walk,
-                             run_columns)
+                             TAIL, gamma3_upper, gamma4_upper, landing,
+                             pinch_runs, pinch_step, run_columns)
 from crosscap4.torus import UNKNOT, Hand, canonicalize
 from oracles import step_walk
 
 
+def run_steps(K, mode):
+    """The walk's steps (p, q, t, h, r, s) as `pinch` prints them: each run
+    of pinch_runs expanded by run_columns.  The arguments are checked at
+    the call, as pinch_runs checks them."""
+    return chain.from_iterable(zip(*run_columns(run))
+                               for run in pinch_runs(K, mode))
+
+
 def test_step_t43():
-    step = pinch_step(4, 3)
-    assert (step.t, step.h) == (1, 1)
-    assert step.raw_to == (2, 1)  # same signs: not mirrored
+    t, h = pinch_step(4, 3)
+    assert (t, h) == (1, 1)
+    assert (4 - 2 * t, 3 - 2 * h) == (2, 1)  # same signs: not mirrored
 
 
 def test_step_t53():
-    step = pinch_step(5, 3)
-    assert (step.t, step.h) == (3, 2)
-    assert step.raw_to == (-1, -1)
-    assert canonicalize(*step.raw_to).is_unknot
+    t, h = pinch_step(5, 3)
+    assert (t, h) == (3, 2)
+    assert (5 - 2 * t, 3 - 2 * h) == (-1, -1)
+    assert canonicalize(5 - 2 * t, 3 - 2 * h).is_unknot
 
 
 def test_step_t21():
-    step = pinch_step(2, 1)
-    assert (step.t, step.h) == (1, 0)
-    assert step.raw_to == (0, 1)
+    t, h = pinch_step(2, 1)
+    assert (t, h) == (1, 0)
+    assert (2 - 2 * t, 1 - 2 * h) == (0, 1)
 
 
 def test_step_errors():
@@ -45,16 +53,13 @@ def test_step_fields_property(p, data):
     q = data.draw(st.one_of(st.just(1), st.integers(1, p - 1),
                             st.integers(max(1, p - 20), p - 1)))
     assume(math.gcd(p, q) == 1)
-    step = pinch_step(p, q)
-    t, h = step.t, step.h
-    assert step.from_pair == (p, q)
+    t, h = pinch_step(p, q)
     if q == 1:
         assert (t, h) == (p - 1, 0)
     else:
         assert p * h - q * t == 1
         assert 0 <= t < p and 0 <= h < q
-    r, s = step.raw_to
-    assert (r, s) == (p - 2 * t, q - 2 * h)
+    r, s = p - 2 * t, q - 2 * h
     to = canonicalize(r, s)
     assert canonicalize(to.p, to.q, to.hand) == to
     if not to.is_unknot:
@@ -64,30 +69,30 @@ def test_step_fields_property(p, data):
 def test_sequence_declared_domain():
     n = PINCH_MAX_P
     assert math.gcd(n, 3) == math.gcd(n + 1, 3) == 1
-    steps = list(pinch_walk(canonicalize(n, 3), GAMMA4))  # one step
-    assert min(map(abs, steps[-1].raw_to)) <= 1
+    steps = list(run_steps(canonicalize(n, 3), GAMMA4))  # one step
+    assert min(map(abs, steps[-1][4:])) <= 1
     over = "pinch accepts p <= %d, got %d" % (n, n + 1)
     with pytest.raises(InputError, match=over):
-        pinch_walk(canonicalize(n + 1, 3), GAMMA4)  # raised at the call
+        run_steps(canonicalize(n + 1, 3), GAMMA4)  # raised at the call
     with pytest.raises(InputError, match=over):
         gamma4_upper(canonicalize(n + 1, 3))
 
 
 def test_sequence_family():
-    steps = list(pinch_walk(canonicalize(8, 7), GAMMA4))
+    steps = list(run_steps(canonicalize(8, 7), GAMMA4))
     assert len(steps) == 3
-    assert [s.from_pair for s in steps] == [(8, 7), (6, 5), (4, 3)]
+    assert [s[:2] for s in steps] == [(8, 7), (6, 5), (4, 3)]
 
 
 def test_sequence_gamma3_t43():
-    steps = list(pinch_walk(canonicalize(4, 3), GAMMA3))
+    steps = list(run_steps(canonicalize(4, 3), GAMMA3))
     assert len(steps) == 2
-    assert [s.from_pair for s in steps] == [(4, 3), (2, 1)]
-    assert steps[-1].raw_to == (0, 1)  # terminal pair (1, 0)
+    assert [s[:2] for s in steps] == [(4, 3), (2, 1)]
+    assert steps[-1][4:] == (0, 1)  # terminal pair (1, 0)
 
 
 def test_sequence_t53_single_pinch():
-    steps = list(pinch_walk(canonicalize(5, 3), GAMMA4))
+    steps = list(run_steps(canonicalize(5, 3), GAMMA4))
     assert len(steps) == 1
 
 
@@ -115,11 +120,10 @@ def test_step_invariants_sweep():
         for q in range(2, p):
             if math.gcd(p, q) != 1:
                 continue
-            steps = list(pinch_walk(canonicalize(p, q), GAMMA4))
+            steps = list(run_steps(canonicalize(p, q), GAMMA4))
             prev_max = p
             for step in steps:
-                r, s = step.raw_to
-                fp, fq = step.from_pair
+                fp, fq, _, _, r, s = step
                 assert (r - fp) % 2 == 0 and (s - fq) % 2 == 0
                 assert math.gcd(abs(r), abs(s)) == 1
                 assert max(abs(r), abs(s)) < prev_max
@@ -141,7 +145,7 @@ def check_runs_against_oracle(p, q):
     for mode in (GAMMA4, GAMMA3) if (p * q) % 2 == 0 else (GAMMA4,):
         runs = list(pinch_runs(K, mode))
         steps = list(step_walk(K, mode))
-        assert list(pinch_walk(K, mode)) == steps, (p, q, mode)
+        assert list(run_steps(K, mode)) == steps, (p, q, mode)
         assert len(runs) <= p.bit_length(), (p, q, mode, len(runs))
         upper = gamma4_upper(K) if mode == GAMMA4 else gamma3_upper(K)
         assert upper == max(1, len(steps)), (p, q, mode)
@@ -173,7 +177,7 @@ def test_runs_multi_run_mirrored_walk():
     assert len(runs) > 1
     assert MIRRORED in [run[4] for run in runs]
     assert sum(run[5] for run in runs) == gamma4_upper(K) == 4944
-    assert list(pinch_walk(K, GAMMA4)) == list(step_walk(K, GAMMA4))
+    assert list(run_steps(K, GAMMA4)) == list(step_walk(K, GAMMA4))
 
 
 def test_runs_gamma3_tail():
@@ -181,10 +185,9 @@ def test_runs_gamma3_tail():
     runs = list(pinch_runs(K, GAMMA3))
     assert [run[4] for run in runs] == [POSITIVE, TAIL]
     assert runs[-1] == (1000, 1, 1, 0, TAIL, 500)
-    steps = list(pinch_walk(K, GAMMA3))
+    steps = list(run_steps(K, GAMMA3))
     assert steps == list(step_walk(K, GAMMA3))
-    assert steps[-2:] == [PinchStep((4, 1), 3, 0, (-2, 1)),
-                          PinchStep((2, 1), 1, 0, (0, 1))]
+    assert steps[-2:] == [(4, 1, 3, 0, -2, 1), (2, 1, 1, 0, 0, 1)]
     assert gamma3_upper(K) == 501
     assert list(pinch_runs(K, GAMMA4)) == runs[:-1]  # no tail in GAMMA4
 
@@ -192,8 +195,8 @@ def test_runs_gamma3_tail():
 def test_runs_q2_lands_on_a_zero_coordinate():
     run, = pinch_runs(canonicalize(7, 2), GAMMA4)
     assert run == (7, 2, 3, 1, POSITIVE, 1)
-    assert list(pinch_walk(canonicalize(7, 2), GAMMA4)) == [
-        PinchStep((7, 2), 3, 1, (1, 0))]
+    assert list(run_steps(canonicalize(7, 2), GAMMA4)) == [
+        (7, 2, 3, 1, 1, 0)]
     assert landing(run) == (1, 0)
     assert list(pinch_runs(canonicalize(7, 2), GAMMA3)) == [run]
 
