@@ -25,9 +25,11 @@ from .torus import Hand, canonicalize, mirror
 # streamed) takes about 1.5 s and 16 MB on a 2-vCPU Xeon VM.
 SCAN_MAX = 300
 
-# `pinch` writes its step lines in batches of this many: batches of 4096
-# lines cost about 0.6 MB more peak RSS than 1024, at the same speed.
-PINCH_BATCH = 1024
+# `pinch` writes its step lines in batches of this many.  Two `pinch p p-1`
+# calls at p near 121,000 peak at about 27.48 MB with batches of 128 or 256
+# lines, 27.56 MB with 512 and 27.75 MB with 1024, at the same speed: `pinch
+# 1000000 999999` takes 0.3-0.5 s with each, on a 2-vCPU Xeon VM.
+PINCH_BATCH = 256
 
 # Integer arguments of up to this many digits keep every printed value (t0
 # grows as p*q, audit's c1^2 as a ratio of squares) at most 2,001 digits
@@ -94,11 +96,23 @@ def _cmd_pinch(args, out):
     K = canonicalize(args.p, args.q)
     mode = pinch.GAMMA3 if args.gamma3 else pinch.GAMMA4
     line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n".__mod__
+    pair = "%d,%d".__mod__
     for run in pinch.pinch_runs(K, mode):
-        n = run[5]
+        _, _, a, b, kind, n = run
+        # In a POSITIVE run (t, h) = (a, b), so the raw landing of step i is
+        # the start of step i + 1: each line joins two pair strings, and each
+        # pair is formatted once.
+        mid = ") --t=%d,h=%d--> (" % (a, b)
         for lo in range(0, n, PINCH_BATCH):
             hi = min(n, lo + PINCH_BATCH)
-            out.write("".join(map(line, zip(*pinch.run_columns(run, lo, hi)))))
+            if kind == pinch.POSITIVE:
+                starts = list(map(pair, zip(
+                    *pinch.run_columns(run, lo, hi + 1)[:2])))
+                out.write("(" + ")\n(".join(
+                    map(mid.join, zip(starts, starts[1:]))) + ")\n")
+            else:
+                out.write("".join(
+                    map(line, zip(*pinch.run_columns(run, lo, hi)))))
     return 0
 
 

@@ -39,7 +39,7 @@ MIRRORED = "mirrored"  # t, h = p_i - a, q_i - b
 TAIL = "tail"  # (m, 1) -> (m-2, 1): t, h = p_i - 1, 0 with a, b = 1, 0
 
 # A walk from T(p, q) takes fewer than p steps, in few runs; `pinch
-# 1000000 999999` (500,000 steps in one run, streamed) takes about 0.7 s
+# 1000000 999999` (500,000 steps in one run, streamed) takes 0.3-0.5 s
 # and 16 MB on a 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
 PINCH_MAX_P = 10 ** 6
 
@@ -144,7 +144,8 @@ def _column(x, d, k, mirrored):
 def run_columns(run, lo=0, hi=None):
     """Steps lo <= i < hi (default: all) of run as six columns p, q, t, h,
     r, s, ranges or repeats, so that zip(*columns) gives each step's
-    (p, q, t, h, r, s) with (r, s) = (p - 2t, q - 2h)."""
+    (p, q, t, h, r, s) with (r, s) = (p - 2t, q - 2h).  hi may pass the
+    run's length: the columns go on at its displacement."""
     p, q, a, b, kind, n = run
     hi = n if hi is None else hi
     ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind != POSITIVE)

@@ -13,7 +13,7 @@ from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 
 # Row k walks its k - 1 pinch steps in one run, but its trace holds k
 # pairs, so a table still makes O(k_max^2) pairs: streamed, `table --family
-# 2k --kmax 1000 --json` takes about 0.6 s and 17 MB on a 2-vCPU Xeon VM.
+# 2k --kmax 1000 --json` takes about 0.5 s and 16 MB on a 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
@@ -52,6 +52,14 @@ _JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
 _scalars = attrgetter(*(f.name for f in _SCALAR_FIELDS))
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
 TRACE_BATCH = 4096
+
+# The head, pair, empty-trace and closing templates of a report at the top
+# level and nested one level in a list: no value holds a newline, so
+# indenting every newline of the templates indents the whole text.
+_JSON_TEMPLATES = {
+    indent: tuple(t.replace("\n", "\n" + indent) for t in (
+        _JSON_HEAD, _JSON_PAIR, "]\n}", "\n  ]\n}"))
+    for indent in ("", "  ")}
 
 
 def report(p, q):
@@ -128,15 +136,17 @@ def _json_literal(v):
     return v
 
 
-def _json_parts(r):
-    """emit_json(r) in parts: the scalar fields, the trace pairs in
-    batches, the closing brackets."""
-    yield _JSON_HEAD % tuple(map(_json_literal, _scalars(r)))
+def _json_parts(r, indent=""):
+    """emit_json(r) in parts, with indent after every newline ("" or two
+    spaces): the scalar fields, the trace pairs in batches, the closing
+    brackets."""
+    head, pair, empty, tail = _JSON_TEMPLATES[indent]
+    yield head % tuple(map(_json_literal, _scalars(r)))
     if not r.pinch_trace:
-        yield "]\n}"
+        yield empty
         return
-    yield from batched_join(",", _JSON_PAIR, r.pinch_trace)
-    yield "\n  ]\n}"
+    yield from batched_join(",", pair, r.pinch_trace)
+    yield tail
 
 
 def emit_json(r):
@@ -148,12 +158,11 @@ def emit_json(r):
 def write_rows(rows, out, fmt):
     """Write each report of rows to out as it is made: CSV or TSV lines
     under a header, or a JSON list equal to json.dumps(list, indent=2) plus
-    a newline (no value holds a newline, so each emit_json text nests in
-    the list indented by two spaces)."""
+    a newline, each report's text nested in it by two spaces."""
     if fmt == JSON:
         sep = "[\n  "
         for r in rows:
-            out.write(sep + emit_json(r).replace("\n", "\n  "))
+            out.write(sep + "".join(_json_parts(r, "  ")))
             sep = ",\n  "
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
         return

@@ -7,8 +7,6 @@ step_walk checks the pinch runs by making the walk one step at a time.
 
 import math
 
-import numpy as np
-
 from crosscap4.errors import ConsistencyError
 from crosscap4.heegaard import d_pm1
 from crosscap4.pinch import GAMMA4, pinch_step
@@ -21,14 +19,15 @@ def minmax_over_framings(K, n_lo, n_hi):
     at 1, then take the max of the two chiralities."""
     if n_lo > n_hi:
         raise ValueError("empty framing window [%d, %d]" % (n_lo, n_hi))
-    n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     best = 1
     for Kc in (K, mirror(K)):
         s = signature(Kc)
         dm1, _ = d_pm1(Kc)
-        vals = np.maximum(np.abs(s - n), n - 2 * dm1)
-        np.maximum(vals, 0, out=vals)
-        best = max(best, int(vals.min()))
+        # |s - n| and n - 2*dm1 at every framing n in the window, as
+        # ranges; the larger of the two is never negative.
+        sig = map(abs, range(s - n_lo, s - n_hi - 1, -1))
+        dinv = range(n_lo - 2 * dm1, n_hi - 2 * dm1 + 1)
+        best = max(best, min(map(max, sig, dinv)))
     return best
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crosscap4
-from crosscap4 import heegaard, pinch, reports, torus
+from crosscap4 import cli, heegaard, pinch, reports, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
 from crosscap4.cli import MAX_DIGITS, PINCH_BATCH, SCAN_MAX, main
 from crosscap4.errors import ConsistencyError
@@ -185,6 +186,28 @@ def test_pinch_output_equals_step_walk(capsys, argv, mode):
     code, out, err = run(capsys, "pinch", *argv)
     assert (code, err) == (0, "")
     assert out == oracle_lines(int(argv[0]), int(argv[1]), mode)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, PINCH_BATCH])
+def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
+    # A POSITIVE batch formats its start pairs and one pair past its end;
+    # small batches put a boundary after every step of short walks.  One
+    # parser serves every case: building it would take most of the time.
+    monkeypatch.setattr(cli, "PINCH_BATCH", batch)
+    parser = cli.build_parser()
+    cases = [(p, q, mode) for p in range(2, 100) for q in range(1, p)
+             if math.gcd(p, q) == 1
+             for mode in (pinch.GAMMA4, pinch.GAMMA3)
+             if mode == pinch.GAMMA4 or p * q % 2 == 0]
+    if batch == 3:  # an 11-step POSITIVE run with (a, b) = (29602, 19735)
+        cases.append((621645, 414437, pinch.GAMMA4))
+    for p, q, mode in cases:
+        argv = ["pinch", str(p), str(q)]
+        if mode == pinch.GAMMA3:
+            argv.append("--gamma3")
+        args, out = parser.parse_args(argv), io.StringIO()
+        assert args.func(args, out) == 0
+        assert out.getvalue() == oracle_lines(p, q, mode), argv
 
 
 def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):

@@ -214,6 +214,11 @@ def test_runs_columns_slice_a_run():
     whole = list(zip(*run_columns(run)))
     for lo, hi in ((0, 1), (3, 4099), (9999, 10000), (5, 5)):
         assert list(zip(*run_columns(run, lo, hi))) == whole[lo:hi]
+    # past the end of a POSITIVE run, the start of step i is the raw
+    # landing of step i - 1
+    ps, qs = run_columns(run, 9998, 10001)[:2]
+    assert list(zip(ps, qs)) == [whole[9998][:2], whole[9999][:2],
+                                 whole[9999][4:]]
 
 
 def test_runs_checked_at_the_call():

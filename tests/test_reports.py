@@ -232,6 +232,14 @@ def test_emit_json_matches_stdlib_on_synthetic_reports(r):
     check_same_text(emit_json(r), json.dumps(vars(r), indent=2))
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.lists(synthetic_reports(), max_size=3))
+@example([filled((), False, None, 0), filled(((3, 2),), True, 1, 5)])
+def test_write_rows_json_matches_stdlib_on_synthetic_reports(rows):
+    check_same_text(written(iter(rows), JSON),
+                    json.dumps([vars(r) for r in rows], indent=2) + "\n")
+
+
 def test_json_parts_hold_at_most_one_batch():
     trace = ((10 ** 6, 10 ** 6 - 1),) * (3 * TRACE_BATCH + 5)
     r = filled(trace, True, None, 0)
