@@ -22,21 +22,19 @@ def gamma4_lower(K):
     """Absolute lower bound max(1, sigma/2 - d(-1-surgery)), maximized over
     the two mirrors (the genus is mirror-invariant, the formula is not).
     Never below 1: every nonorientable surface has b1 >= 1."""
-    return _gamma4_lower(sigma_rec(K.p, K.q), t0(K.p, K.q))
+    s, t = sigma_rec(K.p, K.q), t0(K.p, K.q)
+    return _gamma4_lower(
+        _signed_sigma(Hand.RIGHT, s), _signed_sigma(Hand.LEFT, s),
+        _hand_d_pm1(Hand.RIGHT, t)[0], _hand_d_pm1(Hand.LEFT, t)[0])
 
 
-def _gamma4_lower(s, t):
-    """gamma4_lower of the torus knot with sigma_rec s and torsion
-    coefficient t.  One s and one t serve both chiralities: the mirror has
-    signature -sigma, and its d(-1) is -d(+1) of the knot."""
-    best = 1
-    for hand in Hand:
-        sigma = _signed_sigma(hand, s)
+def _gamma4_lower(sigma_right, sigma_left, d_right, d_left):
+    """gamma4_lower of the torus knot whose two chiralities have these
+    signatures and d-invariants of -1-surgery."""
+    for sigma in (sigma_right, sigma_left):
         if sigma % 2:
             raise ConsistencyError("odd signature %d" % sigma)
-        dm1, _ = _hand_d_pm1(hand, t)
-        best = max(best, sigma // 2 - dm1)
-    return best
+    return max(1, sigma_right // 2 - d_right, sigma_left // 2 - d_left)
 
 
 def framed_profile(K, n_lo, n_hi):

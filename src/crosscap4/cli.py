@@ -21,8 +21,8 @@ from .errors import ConsistencyError, InputError
 from .torus import Hand, canonicalize, mirror
 
 # scan makes about 0.3 * max^2 reports, each walking a few pinch runs and
-# building a trace of up to p/2 pairs: `scan --max 300 --csv` (27,000 rows,
-# streamed) takes about 1.5 s and 16 MB on a 2-vCPU Xeon VM.
+# printing no trace: `scan --max 300 --csv` (27,000 rows, streamed) takes
+# about 0.7-0.9 s and 17 MB on a 2-vCPU Xeon VM.
 SCAN_MAX = 300
 
 # `pinch` writes its step lines in batches of this many.  Two `pinch p p-1`
@@ -55,7 +55,7 @@ def _cmd_report(args, out):
     if r.gamma3_upper is not None:
         print("gamma3 upper bound: %d" % r.gamma3_upper, file=out)
     out.write("pinch trace: ")
-    out.writelines(reports.batched_join(" -> ", "(%d,%d)", r.pinch_trace))
+    out.writelines(reports.trace_parts(r, " -> ", "(%d,%d)"))
     out.write("\n")
     return 0
 
@@ -117,6 +117,8 @@ def _cmd_pinch(args, out):
 
 
 def _cmd_signature(args, out):
+    if args.p == 0 or args.q == 0:
+        raise InputError("need nonzero p, q, got (%d, %d)" % (args.p, args.q))
     rec = torus.sigma_rec(args.p, args.q)
     lat = torus.sigma_lattice(args.p, args.q)
     print("recursion: %d" % rec, file=out)

@@ -8,12 +8,13 @@ from typing import Optional
 from .bounds import _gamma4_lower
 from .errors import ConsistencyError, InputError
 from .heegaard import _hand_d_pm1, t0
-from .pinch import GAMMA3, GAMMA4, TAIL, landing, pinch_runs
+from .pinch import GAMMA3, GAMMA4, TAIL, landing, pinch_runs, run_columns
 from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 
-# Row k walks its k - 1 pinch steps in one run, but its trace holds k
-# pairs, so a table still makes O(k_max^2) pairs: streamed, `table --family
-# 2k --kmax 1000 --json` takes about 0.5 s and 16 MB on a 2-vCPU Xeon VM.
+# Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
+# pairs, so `table --json` prints O(k_max^2) pairs; CSV and TSV rows print
+# no trace.  Streamed, `table --family 2k --kmax 1000` takes about 0.4 s
+# with --json and 0.15 s with --csv, in 17 MB, on a 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
@@ -33,16 +34,17 @@ class BoundReport:
     gamma4_upper: int
     exact: bool
     gamma3_upper: Optional[int]
-    pinch_trace: tuple  # (p, q) pairs, starting class included
+    pinch_runs: tuple  # the GAMMA4 walk's runs (p, q, a, b, kind, n)
 
 
-# CSV columns are the report fields less the trace; gamma3_upper is empty
+# CSV columns are the report fields less the runs; gamma3_upper is empty
 # when absent.
-_SCALAR_FIELDS = [f for f in fields(BoundReport) if f.name != "pinch_trace"]
+_SCALAR_FIELDS = fields(BoundReport)[:-1]
 CSV_HEADER = ",".join(f.name for f in _SCALAR_FIELDS)
 _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
 
-# JSON text of a report, as json.dumps(vars(r), indent=2) lays it out: the
+# JSON text of a report, laid out as json.dumps(indent=2) lays out the
+# scalar fields followed by "pinch_trace", a list of [p, q] pairs: the
 # scalar fields in one template (%d for an int field, %s for the others,
 # with True, False and None spelled true, false and null), then the trace
 # pairs, TRACE_BATCH pairs per string so that no string holds a long trace.
@@ -53,61 +55,58 @@ _scalars = attrgetter(*(f.name for f in _SCALAR_FIELDS))
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
 TRACE_BATCH = 4096
 
-# The head, pair, empty-trace and closing templates of a report at the top
-# level and nested one level in a list: no value holds a newline, so
-# indenting every newline of the templates indents the whole text.
+# The head, pair and closing templates of a report at the top level and
+# nested one level in a list: no value holds a newline, so indenting every
+# newline of the templates indents the whole text.
 _JSON_TEMPLATES = {
     indent: tuple(t.replace("\n", "\n" + indent) for t in (
-        _JSON_HEAD, _JSON_PAIR, "]\n}", "\n  ]\n}"))
+        _JSON_HEAD, _JSON_PAIR, "\n  ]\n}"))
     for indent in ("", "  ")}
 
 
 def report(p, q):
     """Certificate for T(p,q): signature, t0, d-invariants, lower and upper
-    genus bounds, exactness flag, and the pinch trace behind the upper
-    bound.  The input pair is canonicalized first.  Both chiralities and
-    the lower bound come from one sigma_rec and one t0, both upper bounds
-    and the trace from one pinch walk.  Signs are canonicalized away, so
-    report(-3, 2) == report(3, 2); a zero coordinate raises InputError."""
+    genus bounds, exactness flag, and the runs of the pinch walk behind the
+    upper bound (trace_parts prints them as the pinch trace).  The input
+    pair is canonicalized first.  Both chiralities and the lower bound come
+    from one sigma_rec and one t0, both upper bounds and the runs from one
+    pinch walk.  Signs are canonicalized away, so report(-3, 2) ==
+    report(3, 2); a zero coordinate raises InputError."""
     if p == 0 or q == 0:
         raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
     if math.gcd(p, q) != 1:
         raise InputError("(%d, %d) are not coprime" % (p, q))
     K = canonicalize(p, q)
-    sigma, t0_val = sigma_rec(K.p, K.q), t0(K.p, K.q)
-    d_right, _ = _hand_d_pm1(Hand.RIGHT, t0_val)
-    d_left, _ = _hand_d_pm1(Hand.LEFT, t0_val)
-    lower = _gamma4_lower(sigma, t0_val)
+    s, t = sigma_rec(K.p, K.q), t0(K.p, K.q)
+    sigma_right, sigma_left = (_signed_sigma(Hand.RIGHT, s),
+                               _signed_sigma(Hand.LEFT, s))
+    d_right, _ = _hand_d_pm1(Hand.RIGHT, t)
+    d_left, _ = _hand_d_pm1(Hand.LEFT, t)
+    lower = _gamma4_lower(sigma_right, sigma_left, d_right, d_left)
 
-    # One walk serves both upper bounds and the trace: when pq is even it
-    # is the GAMMA3 walk, whose runs less its TAIL are the GAMMA4 walk.  The
-    # trace holds the start of each GAMMA4 step, then the last landing.
+    # One walk serves both upper bounds and the runs: when pq is even it is
+    # the GAMMA3 walk, whose runs less its TAIL are the GAMMA4 walk.
     even = (K.p * K.q) % 2 == 0
-    trace, n3, last = [], 0, (K.p, K.q)
+    runs, n3, n4 = [], 0, 0
     for run in pinch_runs(K, GAMMA3 if even else GAMMA4):
-        p0, q0, a, b, kind, n = run
-        n3 += n
-        if kind != TAIL:
-            trace.extend(zip(range(p0, p0 - 2 * n * a, -2 * a),
-                             range(q0, q0 - 2 * n * b, -2 * b)))
-            last = landing(run)
-    upper = max(1, len(trace))
-    trace.append(last)
+        n3 += run[5]
+        if run[4] != TAIL:
+            runs.append(run)
+            n4 += run[5]
+    upper = max(1, n4)
     if lower > upper:
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
                                % (lower, upper, K))
-    g3 = max(1, n3) if even else None
 
     return BoundReport(
         p=K.p, q=K.q,
-        sigma_right=_signed_sigma(Hand.RIGHT, sigma),
-        sigma_left=_signed_sigma(Hand.LEFT, sigma),
-        t0=t0_val,
+        sigma_right=sigma_right, sigma_left=sigma_left,
+        t0=t,
         d_minus1_right=d_right, d_minus1_left=d_left,
         gamma4_lower=lower, gamma4_upper=upper,
         exact=(lower == upper),
-        gamma3_upper=g3,
-        pinch_trace=tuple(trace),
+        gamma3_upper=max(1, n3) if even else None,
+        pinch_runs=tuple(runs),
     )
 
 
@@ -120,12 +119,20 @@ def family_table(k_max):
     return (report(2 * k, 2 * k - 1) for k in range(2, k_max + 1))
 
 
-def batched_join(sep, pair_format, pairs):
-    """The text sep.join(pair_format % p for p in pairs), made in parts of
-    at most TRACE_BATCH pairs each."""
-    for i in range(0, len(pairs), TRACE_BATCH):
-        yield (sep if i else "") + sep.join(
-            map(pair_format.__mod__, pairs[i:i + TRACE_BATCH]))
+def trace_parts(r, sep, pair_format):
+    """The pinch trace of report r as the text sep.join(pair_format % pair
+    for each pair), made in parts of at most TRACE_BATCH pairs each.  The
+    trace is the start of each GAMMA4 step, then the pair the walk lands
+    on; it is (r.p, r.q) alone when the walk takes no step."""
+    lead = ""
+    for run in r.pinch_runs:
+        n = run[5]
+        for lo in range(0, n, TRACE_BATCH):
+            ps, qs = run_columns(run, lo, min(n, lo + TRACE_BATCH))[:2]
+            yield lead + sep.join(map(pair_format.__mod__, zip(ps, qs)))
+            lead = sep
+    last = landing(r.pinch_runs[-1]) if r.pinch_runs else (r.p, r.q)
+    yield lead + pair_format % last
 
 
 def _json_literal(v):
@@ -140,25 +147,23 @@ def _json_parts(r, indent=""):
     """emit_json(r) in parts, with indent after every newline ("" or two
     spaces): the scalar fields, the trace pairs in batches, the closing
     brackets."""
-    head, pair, empty, tail = _JSON_TEMPLATES[indent]
+    head, pair, tail = _JSON_TEMPLATES[indent]
     yield head % tuple(map(_json_literal, _scalars(r)))
-    if not r.pinch_trace:
-        yield empty
-        return
-    yield from batched_join(",", pair, r.pinch_trace)
+    yield from trace_parts(r, ",", pair)
     yield tail
 
 
 def emit_json(r):
-    """Deterministic JSON text for one report, keys in field order; equal
-    to json.dumps(vars(r), indent=2)."""
+    """Deterministic JSON text for one report: its scalar fields in field
+    order, then "pinch_trace", the list of trace pairs, laid out as
+    json.dumps(indent=2) lays them out."""
     return "".join(_json_parts(r))
 
 
 def write_rows(rows, out, fmt):
     """Write each report of rows to out as it is made: CSV or TSV lines
-    under a header, or a JSON list equal to json.dumps(list, indent=2) plus
-    a newline, each report's text nested in it by two spaces."""
+    under a header, or a JSON list of the emit_json texts, laid out as
+    json.dumps(indent=2) lays out a list, plus a newline."""
     if fmt == JSON:
         sep = "[\n  "
         for r in rows:

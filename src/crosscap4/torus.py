@@ -155,11 +155,9 @@ def sigma_lattice(p, q):
     by coprimality and are asserted against.
     """
     _check_pair("sigma_lattice", p, q)
-    if p < 2 and q >= 2:
-        p, q = q, p
-    if q < 1 or p < 2:
-        raise InputError("sigma_lattice expects p >= 2, q >= 1, got "
-                         "(%d, %d)" % (p, q))
+    if p < 1 or q < 1:
+        raise InputError("sigma_lattice expects p, q >= 1, got (%d, %d)"
+                         % (p, q))
     if p * q % 2 == 0:
         # the only point of i*q + j*p = pq/2 with 0 <= i < p; the
         # reflection maps the 3pq/2 line onto this one

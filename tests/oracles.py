@@ -2,14 +2,18 @@
 
 minmax_over_framings checks the closed-form lower bound gamma4_lower by
 minimizing the per-framing obstruction over a whole window of framings;
-step_walk checks the pinch runs by making the walk one step at a time.
+step_walk checks the pinch runs by making the walk one step at a time, and
+trace_pairs and report_dict build from it the pinch trace and the JSON
+object that the report emitters print.
 """
 
 import math
+from dataclasses import fields
 
 from crosscap4.errors import ConsistencyError
 from crosscap4.heegaard import d_pm1
 from crosscap4.pinch import GAMMA4, pinch_step
+from crosscap4.reports import BoundReport
 from crosscap4.torus import mirror, signature
 
 
@@ -56,3 +60,22 @@ def step_walk(K, mode=GAMMA4):
         yield step
         p, q = r, s
         n += 1
+
+
+def trace_pairs(K):
+    """The pinch trace of K from step_walk: the start of each GAMMA4 step,
+    then the pair the last step lands on, canonical; K's own pair alone
+    when the walk takes no step."""
+    steps = list(step_walk(K, GAMMA4))
+    if not steps:
+        return [(K.p, K.q)]
+    r, s = map(abs, steps[-1][4:])
+    return [step[:2] for step in steps] + [(max(r, s), min(r, s))]
+
+
+def report_dict(r, trace):
+    """The JSON object of report r as a dict: its scalar fields in field
+    order, then "pinch_trace", the given list of pairs."""
+    d = {f.name: getattr(r, f.name) for f in fields(BoundReport)[:-1]}
+    d["pinch_trace"] = trace
+    return d

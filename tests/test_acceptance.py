@@ -96,10 +96,12 @@ def test_criterion_08_closed_form_equals_brute_force():
     for p, q in coprime_pairs(60):
         K = canonicalize(p, q)
         B = (p - 1) * (q - 1)
+        # The brute force covers both chiralities, over a window holding
+        # the window [s - 4B, s + 4B] of each chirality's signature s.
+        s = abs(signature(K))
+        brute = minmax_over_framings(K, -s - 4 * B, s + 4 * B)
         for Kc in (K, mirror(K)):
-            s = signature(Kc)
-            assert gamma4_lower(Kc) == \
-                minmax_over_framings(Kc, s - 4 * B, s + 4 * B), (p, q)
+            assert gamma4_lower(Kc) == brute, (p, q)
             count += 1
     ok(8, "gamma4_lower = brute-force min-max on %d knot/chirality pairs"
        % count)
@@ -157,7 +159,7 @@ def test_criterion_12_specific_certificates(capsys):
     assert (r43.gamma4_lower, r43.gamma4_upper) == (1, 1)
     r53 = report(5, 3)
     assert r53.gamma4_upper == 1
-    assert len(r53.pinch_trace) == 2  # single pinch
+    assert [run[5] for run in r53.pinch_runs] == [1]  # single pinch
 
     outputs = []
     for _ in range(2):

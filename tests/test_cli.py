@@ -17,7 +17,7 @@ from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import PINCH_MAX_P
 from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
 from crosscap4.torus import canonicalize
-from oracles import step_walk
+from oracles import report_dict, step_walk, trace_pairs
 
 # Above MAX_DIGITS, and near 3,000 digits, where t0, sigma and c1^2 would
 # pass Python's 4,300-digit limit on int-to-str conversion.
@@ -48,29 +48,29 @@ def test_report_json(capsys):
 
 def test_report_json_streams_a_long_trace(capsys):
     r = reports.report(20001, 20000)
-    assert len(r.pinch_trace) > reports.TRACE_BATCH
+    pairs = trace_pairs(canonicalize(20001, 20000))
+    assert len(pairs) > reports.TRACE_BATCH
     code, out, err = run(capsys, "report", "20001", "20000", "--json")
     assert (code, err) == (0, "")
-    assert out == json.dumps(vars(r), indent=2) + "\n"
+    assert out == json.dumps(report_dict(r, pairs), indent=2) + "\n"
 
 
 def test_report_json_on_a_multi_run_walk(capsys):
     r = reports.report(621645, 414437)
-    steps = list(step_walk(canonicalize(621645, 414437), pinch.GAMMA4))
-    r_, s_ = map(abs, steps[-1][4:])
-    assert r.pinch_trace == tuple(s[:2] for s in steps) + (
-        (max(r_, s_), min(r_, s_)),)
+    assert [run[4] for run in r.pinch_runs] == [pinch.POSITIVE,
+                                                 pinch.MIRRORED]
+    pairs = trace_pairs(canonicalize(621645, 414437))
     code, out, err = run(capsys, "report", "621645", "414437", "--json")
     assert (code, err) == (0, "")
-    assert out == json.dumps(vars(r), indent=2) + "\n"
+    assert out == json.dumps(report_dict(r, pairs), indent=2) + "\n"
 
 
 def test_report_text_trace_line(capsys):
-    r = reports.report(20001, 20000)
+    pairs = trace_pairs(canonicalize(20001, 20000))
     code, out, err = run(capsys, "report", "20001", "20000")
     assert (code, err) == (0, "")
     assert out.endswith("\npinch trace: %s\n" % " -> ".join(
-        "(%d,%d)" % pair for pair in r.pinch_trace))
+        "(%d,%d)" % pair for pair in pairs))
 
 
 def test_report_determinism(capsys):
@@ -250,6 +250,17 @@ def test_signature(capsys):
     assert code == 0
     assert "recursion: 16" in out
     assert "lattice:   16" in out
+
+
+@pytest.mark.parametrize("p, q", [("1", "1"), ("2", "1"), ("1", "2")])
+def test_signature_of_unknots(capsys, p, q):
+    assert run(capsys, "signature", p, q) == (
+        0, "recursion: 0\nlattice:   0\n", "")
+
+
+def test_signature_rejects_a_zero_coordinate(capsys):
+    assert run(capsys, "signature", "1", "0") == (
+        2, "", "error: need nonzero p, q, got (1, 0)\n")
 
 
 @pytest.mark.parametrize("p, q", [

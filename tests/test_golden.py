@@ -19,7 +19,7 @@ from crosscap4 import cli
 
 N = 21
 GOLDEN_SHA256 = (
-    "235fe92cb5fcd4ebfef112f5dc496cc77e28bf4b22a22d74e04488002de33c02")
+    "1616ce339722e0201a9ceff6d257e32ff80b6690496ab4fc37f764a5be268cf4")
 
 
 def _argv_lists():

@@ -11,10 +11,21 @@ from hypothesis import example, given, settings, strategies as st
 from crosscap4 import heegaard, pinch, reports, torus
 from crosscap4.bounds import gamma4_lower
 from crosscap4.errors import InputError
+from crosscap4.pinch import MIRRORED, POSITIVE
 from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON,
-                               TRACE_BATCH, TSV, BoundReport, batched_join,
-                               emit_json, family_table, report, write_rows)
+                               TRACE_BATCH, TSV, BoundReport, emit_json,
+                               family_table, report, trace_parts, write_rows)
 from crosscap4.torus import canonicalize, mirror
+from oracles import report_dict, trace_pairs
+
+
+def trace_text(r):
+    return "".join(trace_parts(r, " -> ", "(%d,%d)"))
+
+
+def oracle_dict(r):
+    """The JSON object of a real report, its trace made by step_walk."""
+    return report_dict(r, trace_pairs(canonicalize(r.p, r.q)))
 
 
 def test_report_t43():
@@ -23,7 +34,8 @@ def test_report_t43():
     assert r.gamma4_upper == 1
     assert r.exact
     assert r.gamma3_upper == 2
-    assert r.pinch_trace == ((4, 3), (2, 1))
+    assert r.pinch_runs == ((4, 3, 1, 1, POSITIVE, 1),)
+    assert trace_text(r) == "(4,3) -> (2,1)"
 
 
 def test_report_t10_9():
@@ -35,6 +47,14 @@ def test_report_unknot():
     r = report(1, 1)
     assert r.sigma_right == 0 and r.sigma_left == 0
     assert (r.gamma4_lower, r.gamma4_upper) == (1, 1)
+    assert r.pinch_runs == ()
+    assert trace_text(r) == "(1,0)"
+
+
+def test_report_holds_one_run_per_displacement():
+    r = report(10 ** 6, 10 ** 6 - 1)
+    assert len(r.pinch_runs) == 1
+    assert r.gamma4_upper == r.pinch_runs[0][5] == 10 ** 6 // 2 - 1
 
 
 def test_report_t53_single_pinch():
@@ -125,7 +145,7 @@ def direct_rows(rows, sep):
 def test_write_rows_matches_stdlib_oracle(make):
     rows = make()
     assert written(iter(rows), JSON) == \
-        json.dumps([vars(r) for r in rows], indent=2) + "\n"
+        json.dumps(list(map(oracle_dict, rows)), indent=2) + "\n"
     assert written(iter(rows), CSV) == direct_rows(rows, ",")
     assert written(iter(rows), TSV) == direct_rows(rows, "\t")
 
@@ -154,7 +174,8 @@ def test_family_table_makes_rows_lazily(monkeypatch):
 
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = {}
-    for fn in (torus.sigma_rec, heegaard.t0, pinch.pinch_runs):
+    for fn in (torus.sigma_rec, heegaard.t0, heegaard._hand_d_pm1,
+               pinch.pinch_runs, pinch.landing):
         calls[fn.__name__] = 0
 
         def counted(*args, _fn=fn):
@@ -168,7 +189,10 @@ def test_report_computes_each_invariant_once(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
     report(10, 9)
-    assert calls == {"sigma_rec": 1, "t0": 1, "pinch_runs": 1}
+    # one d(-1) per chirality; landing only checks the GAMMA3 walk's two
+    # runs, (10, 9) -> (2, 1) and its TAIL to (0, 1)
+    assert calls == {"sigma_rec": 1, "t0": 1, "_hand_d_pm1": 2,
+                     "pinch_runs": 1, "landing": 2}
 
 
 def check_same_text(text, expected):
@@ -187,6 +211,7 @@ coprime = st.tuples(st.integers(1, 2000), st.integers(1, 2000)).filter(
 
 @settings(deadline=None)
 @given(coprime)
+@example((621645, 414437))  # a POSITIVE run, then a MIRRORED one
 def test_report_properties(pq):
     p, q = pq
     r = report(p, q)
@@ -194,67 +219,100 @@ def test_report_properties(pq):
     assert r.gamma4_lower <= r.gamma4_upper
     K = canonicalize(p, q)
     assert gamma4_lower(K) == gamma4_lower(mirror(K)) == r.gamma4_lower
-    text = emit_json(r)
-    check_same_text(text, json.dumps(vars(r), indent=2))
-    payload = json.loads(text)
-    payload["pinch_trace"] = tuple(map(tuple, payload["pinch_trace"]))
-    assert BoundReport(**payload) == r
+    pairs = trace_pairs(K)
+    assert r.gamma4_upper == max(1, len(pairs) - 1)
+    check_same_text(trace_text(r), " -> ".join(map("(%d,%d)".__mod__, pairs)))
+    check_same_text(emit_json(r),
+                    json.dumps(report_dict(r, pairs), indent=2))
 
 
 big_ints = st.integers() | st.integers(-2 ** 70, 2 ** 70)
 
 
+def expanded(r):
+    """The trace of report r by its definition: step i < n of a run
+    (p, q, a, b, kind, n) starts at (p - 2ia, q - 2ib), and the trace ends
+    on the canonical pair the last step lands on, or on (r.p, r.q) when
+    there is no run."""
+    pairs = [(p - 2 * i * a, q - 2 * i * b)
+             for p, q, a, b, _, n in r.pinch_runs for i in range(n)]
+    if not r.pinch_runs:
+        return pairs + [(r.p, r.q)]
+    p, q, a, b, _, n = r.pinch_runs[-1]
+    land = sorted((abs(p - 2 * n * a), abs(q - 2 * n * b)), reverse=True)
+    return pairs + [tuple(land)]
+
+
 @st.composite
 def synthetic_reports(draw):
-    """BoundReports with arbitrary field values; the trace repeats a short
-    list of pairs once or TRACE_BATCH + 1 times, so it can hold 0 pairs,
-    1 pair or more than one batch."""
+    """BoundReports with arbitrary field values and up to two runs of
+    arbitrary pairs and displacements, each of a few or TRACE_BATCH + 1
+    steps, so the trace can hold 1 pair, a few, or more than one batch."""
     names = [f.name for f in dataclasses.fields(BoundReport)]
     values = {n: draw(big_ints) for n in names[:9]}
-    pairs = draw(st.lists(st.tuples(big_ints, big_ints), max_size=3))
+    runs = draw(st.lists(st.tuples(
+        big_ints, big_ints, big_ints, big_ints,
+        st.sampled_from([POSITIVE, MIRRORED]),
+        st.integers(1, 3) | st.just(TRACE_BATCH + 1)), max_size=2))
     return BoundReport(
         **values, exact=draw(st.booleans()),
-        gamma3_upper=draw(st.none() | big_ints),
-        pinch_trace=tuple(pairs * draw(st.sampled_from([1, TRACE_BATCH + 1]))))
+        gamma3_upper=draw(st.none() | big_ints), pinch_runs=tuple(runs))
 
 
-def filled(trace, exact, gamma3_upper, value):
+def filled(runs, exact, gamma3_upper, value):
     return BoundReport(*[value] * 9, exact=exact, gamma3_upper=gamma3_upper,
-                       pinch_trace=trace)
+                       pinch_runs=runs)
 
 
 @settings(deadline=None)
 @given(synthetic_reports())
 @example(filled((), True, None, -1))
-@example(filled(((2 ** 64 + 1, -(2 ** 65)),), False, 2 ** 64, 2 ** 64 + 1))
-@example(filled(((5, 4), (3, 2)) * TRACE_BATCH + ((1, 0),), True, 7, -3))
+@example(filled(((2 ** 64 + 1, -(2 ** 65), 1, -1, POSITIVE, 1),), False,
+                2 ** 64, 2 ** 64 + 1))
+@example(filled(((5, 4, 1, 1, POSITIVE, 2 * TRACE_BATCH),
+                 (3, 2, 1, 1, MIRRORED, 1)), True, 7, -3))
 def test_emit_json_matches_stdlib_on_synthetic_reports(r):
-    check_same_text(emit_json(r), json.dumps(vars(r), indent=2))
+    check_same_text(emit_json(r),
+                    json.dumps(report_dict(r, expanded(r)), indent=2))
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.lists(synthetic_reports(), max_size=3))
-@example([filled((), False, None, 0), filled(((3, 2),), True, 1, 5)])
+@example([filled((), False, None, 0),
+          filled(((3, 2, 1, 1, POSITIVE, 1),), True, 1, 5)])
 def test_write_rows_json_matches_stdlib_on_synthetic_reports(rows):
-    check_same_text(written(iter(rows), JSON),
-                    json.dumps([vars(r) for r in rows], indent=2) + "\n")
+    check_same_text(
+        written(iter(rows), JSON),
+        json.dumps([report_dict(r, expanded(r)) for r in rows], indent=2)
+        + "\n")
+
+
+def family_report(steps):
+    """The report of T(2k, 2k-1), whose walk is one run of k - 1 steps, or
+    of the unknot for 0 steps."""
+    k = steps + 1
+    return report(2 * k, 2 * k - 1) if steps else report(1, 1)
 
 
 def test_json_parts_hold_at_most_one_batch():
-    trace = ((10 ** 6, 10 ** 6 - 1),) * (3 * TRACE_BATCH + 5)
-    r = filled(trace, True, None, 0)
+    r = family_report(3 * TRACE_BATCH + 5)
     parts = list(reports._json_parts(r))
-    assert len(parts) == 2 + 4
-    pair_text = len(reports._JSON_PAIR % trace[0]) + 1
+    # the head, four batches of starts, the landing, the closing brackets
+    assert len(parts) == 2 + 4 + 1
+    pair_text = len(reports._JSON_PAIR % (r.p, r.q)) + 1
     assert max(map(len, parts)) <= TRACE_BATCH * pair_text
-    check_same_text("".join(parts), json.dumps(vars(r), indent=2))
+    check_same_text("".join(parts), json.dumps(oracle_dict(r), indent=2))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, TRACE_BATCH, TRACE_BATCH + 1,
-                               2 * TRACE_BATCH + 3])
-def test_batched_join_equals_whole_join(n):
-    pairs = tuple((i, -i) for i in range(n))
-    parts = list(batched_join(" -> ", "(%d,%d)", pairs))
-    assert len(parts) == -(-n // TRACE_BATCH)
+@pytest.mark.parametrize("steps", [0, 1, 2, TRACE_BATCH - 1, TRACE_BATCH,
+                                   TRACE_BATCH + 1, 2 * TRACE_BATCH + 3])
+def test_batched_join_equals_whole_join(steps):
+    # run lengths on each side of every batch boundary
+    r = family_report(steps)
+    parts = list(trace_parts(r, " -> ", "(%d,%d)"))
+    assert len(parts) == -(-steps // TRACE_BATCH) + 1
+    pairs = trace_pairs(canonicalize(r.p, r.q))
+    assert len(pairs) == steps + 1
     check_same_text("".join(parts),
                     " -> ".join("(%d,%d)" % pq for pq in pairs))
+    check_same_text(emit_json(r), json.dumps(report_dict(r, pairs), indent=2))

@@ -86,6 +86,8 @@ class TestSigma:
     def test_engines_agree_small(self):
         for p, q in coprime_pairs(40):
             assert sigma_rec(p, q) == sigma_lattice(p, q), (p, q)
+        for p in range(1, 41):  # the unknots T(p, 1) and T(1, p)
+            assert sigma_lattice(p, 1) == sigma_lattice(1, p) == 0, p
 
     def test_symmetry_and_parity(self):
         for p, q in coprime_pairs(25):
@@ -127,7 +129,7 @@ class TestSigma:
                            match="sigma_rec expects nonnegative arguments"):
             sigma_rec(-3, 2)
         with pytest.raises(InputError,
-                           match="sigma_lattice expects p >= 2, q >= 1"):
+                           match="sigma_lattice expects p, q >= 1"):
             sigma_lattice(1, 0)
 
 
