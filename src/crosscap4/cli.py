@@ -22,12 +22,12 @@ from .torus import Hand, canonicalize, mirror
 
 # scan makes about 0.3 * max^2 reports, each walking a few pinch runs and
 # printing no trace: `scan --max 300 --csv` (27,000 rows, streamed) takes
-# about 0.7-0.9 s and 17 MB on a 2-vCPU Xeon VM.
+# about 0.7-0.9 s and 15 MB on a 2-vCPU Xeon VM.
 SCAN_MAX = 300
 
 # `pinch` writes its step lines in batches of this many.  Two `pinch p p-1`
-# calls at p near 121,000 peak at about 27.48 MB with batches of 128 or 256
-# lines, 27.56 MB with 512 and 27.75 MB with 1024, at the same speed: `pinch
+# calls at p near 121,000 peak at about 26.6 MB with batches of 128 or 256
+# lines, 26.75 MB with 512 and 26.8 MB with 1024, at the same speed: `pinch
 # 1000000 999999` takes 0.3-0.5 s with each, on a 2-vCPU Xeon VM.
 PINCH_BATCH = 256
 

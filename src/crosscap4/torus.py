@@ -10,8 +10,8 @@ An Alexander polynomial is a map {exponent: coefficient}.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
 from .numtheory import floor_sum
@@ -22,8 +22,7 @@ class Hand(Enum):
     LEFT = "left"
 
 
-@dataclass(frozen=True)
-class TorusKnotClass:
+class TorusKnotClass(NamedTuple):
     p: int
     q: int
     hand: Hand = Hand.RIGHT
@@ -173,8 +172,6 @@ def sigma_lattice(p, q):
 
 def signature(K):
     """Signature of the knot; negative for positive (RIGHT) torus knots."""
-    if K.is_unknot:
-        return 0
     return _signed_sigma(K.hand, sigma_rec(K.p, K.q))
 
 

@@ -8,7 +8,6 @@ object that the report emitters print.
 """
 
 import math
-from dataclasses import fields
 
 from crosscap4.errors import ConsistencyError
 from crosscap4.heegaard import d_pm1
@@ -76,6 +75,6 @@ def trace_pairs(K):
 def report_dict(r, trace):
     """The JSON object of report r as a dict: its scalar fields in field
     order, then "pinch_trace", the given list of pairs."""
-    d = {f.name: getattr(r, f.name) for f in fields(BoundReport)[:-1]}
+    d = {name: getattr(r, name) for name in BoundReport._fields[:-1]}
     d["pinch_trace"] = trace
     return d

@@ -92,6 +92,14 @@ def test_report_invalid_input(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["report", "3", "2"],
+                                  ["report", "3", "2", "--json"]])
+def test_report_failed_check_leaves_stdout_empty(capsys, monkeypatch, argv):
+    monkeypatch.setattr(reports, "_gamma4_lower", lambda *_: 99)
+    assert run(capsys, *argv) == (
+        3, "", "internal error: lower bound 99 exceeds upper 1 for T(3,2)\n")
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--family", "2k", "--kmax", "4",
                        "--csv")

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -41,6 +40,14 @@ def test_report_t43():
 def test_report_t10_9():
     r = report(10, 9)
     assert (r.gamma4_lower, r.gamma4_upper, r.exact) == (4, 4, True)
+
+
+def test_report_t9_4_is_open():
+    # Lobb, "A counterexample to Batson's conjecture" (2019): the genus of
+    # T(4,9) is 1, so a lower bound of 2 here would be unsound.  The upper
+    # bound is a construction, so lower < upper is an open row.
+    r = report(9, 4)
+    assert (r.gamma4_lower, r.gamma4_upper, r.exact) == (1, 2, False)
 
 
 def test_report_unknot():
@@ -128,7 +135,7 @@ def scan_reports(m):
 
 def direct_rows(rows, sep):
     """The CSV/TSV text built cell by cell from the report fields."""
-    names = [f.name for f in dataclasses.fields(BoundReport)][:-1]
+    names = BoundReport._fields[:-1]
 
     def cell(v):
         if isinstance(v, bool):
@@ -248,7 +255,7 @@ def synthetic_reports(draw):
     """BoundReports with arbitrary field values and up to two runs of
     arbitrary pairs and displacements, each of a few or TRACE_BATCH + 1
     steps, so the trace can hold 1 pair, a few, or more than one batch."""
-    names = [f.name for f in dataclasses.fields(BoundReport)]
+    names = BoundReport._fields
     values = {n: draw(big_ints) for n in names[:9]}
     runs = draw(st.lists(st.tuples(
         big_ints, big_ints, big_ints, big_ints,

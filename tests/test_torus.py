@@ -241,6 +241,9 @@ def test_cli_import_leaves_numpy_unloaded():
         {"crosscap4"}
 
 
-def test_cli_import_leaves_json_unloaded():
-    # reports formats JSON itself; the stdlib encoder is only a test oracle
-    assert "json" not in cli_import_loads()
+@pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # reports formats JSON itself, so the stdlib encoder is only a test
+    # oracle; the records are NamedTuples, so dataclasses and the inspect
+    # module it loads stay out of start-up.
+    assert module not in cli_import_loads()
