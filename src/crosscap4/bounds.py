@@ -30,10 +30,8 @@ def gamma4_lower(K):
 
 def _gamma4_lower(sigma_right, sigma_left, d_right, d_left):
     """gamma4_lower of the torus knot whose two chiralities have these
-    signatures and d-invariants of -1-surgery."""
-    for sigma in (sigma_right, sigma_left):
-        if sigma % 2:
-            raise ConsistencyError("odd signature %d" % sigma)
+    signatures and d-invariants of -1-surgery.  The signatures are
+    +-sigma_rec values, which sigma_rec has already checked are even."""
     return max(1, sigma_right // 2 - d_right, sigma_left // 2 - d_left)
 
 

@@ -7,7 +7,7 @@ of the Alexander polynomial.  Rationals are exact (fractions.Fraction).
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .numtheory import floor_sum
 from .torus import Hand, _check_pair
 
@@ -35,19 +35,14 @@ def d_pm1(K):
     """d-invariants (d of -1-surgery, d of +1-surgery) of the knot K.
 
     For a right-handed torus knot these are (0, -2*t0); mirroring swaps
-    and negates.  Both values are even integers here; evenness is asserted
-    rather than assumed.
+    and negates.  Both values are even by construction: t0 is an integer.
     """
     return _hand_d_pm1(K.hand, t0(K.p, K.q))
 
 
 def _hand_d_pm1(hand, t):
     """d_pm1 of the torus knot of this hand whose torsion coefficient is t."""
-    pair = (0, -2 * t) if hand is Hand.RIGHT else (2 * t, 0)
-    for v in pair:
-        if v % 2:
-            raise ConsistencyError("odd d-invariant %r (t0 = %r)" % (v, t))
-    return pair
+    return (0, -2 * t) if hand is Hand.RIGHT else (2 * t, 0)
 
 
 def d_minus1_alternating(sigma):

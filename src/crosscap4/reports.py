@@ -1,6 +1,5 @@
 """Assembled per-knot certificates and their JSON/CSV/TSV serialization."""
 
-import math
 from typing import NamedTuple, Optional
 
 from .bounds import _gamma4_lower
@@ -41,9 +40,9 @@ _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
 
 # JSON text of a report, laid out as json.dumps(indent=2) lays out the
 # scalar fields followed by "pinch_trace", a list of [p, q] pairs: the
-# scalar fields in one template (True, False and None spelled true, false
-# and null), then the trace pairs, TRACE_BATCH pairs per string so that no
-# string holds a long trace.
+# scalar fields in one template, filled from _cells with null for an
+# absent gamma3_upper, then the trace pairs, TRACE_BATCH pairs per string
+# so that no string holds a long trace.
 _JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
     '  "%s": %%s' % name for name in BoundReport._fields[:-1])
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
@@ -65,11 +64,10 @@ def report(p, q):
     pair is canonicalized first.  Both chiralities and the lower bound come
     from one sigma_rec and one t0, both upper bounds and the runs from one
     pinch walk.  Signs are canonicalized away, so report(-3, 2) ==
-    report(3, 2); a zero coordinate raises InputError."""
+    report(3, 2).  A zero coordinate raises InputError here, and a
+    non-coprime pair raises it in canonicalize."""
     if p == 0 or q == 0:
         raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
-    if math.gcd(p, q) != 1:
-        raise InputError("(%d, %d) are not coprime" % (p, q))
     K = canonicalize(p, q)
     s, t = sigma_rec(K.p, K.q), t0(K.p, K.q)
     sigma_right, sigma_left = (_signed_sigma(Hand.RIGHT, s),
@@ -129,12 +127,11 @@ def trace_parts(r, sep, pair_format):
     yield lead + pair_format % last
 
 
-def _json_literal(v):
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return v
+def _cells(r, null):
+    """The scalar fields of report r as row cells: the nine ints, exact as
+    true or false, and gamma3_upper, or null when it is absent."""
+    return r[:9] + ("true" if r.exact else "false",
+                    null if r.gamma3_upper is None else r.gamma3_upper)
 
 
 def _json_parts(r, indent=""):
@@ -142,7 +139,7 @@ def _json_parts(r, indent=""):
     spaces): the scalar fields, the trace pairs in batches, the closing
     brackets."""
     head, pair, tail = _JSON_TEMPLATES[indent]
-    yield head % tuple(map(_json_literal, r[:-1]))
+    yield head % _cells(r, "null")
     yield from trace_parts(r, ",", pair)
     yield tail
 
@@ -170,6 +167,4 @@ def write_rows(rows, out, fmt):
     out.write(CSV_HEADER.replace(",", fmt) + "\n")
     line = _CSV_ROW.replace(",", fmt)
     for r in rows:
-        out.write(line % (r[:9] + (
-            "true" if r.exact else "false",
-            "" if r.gamma3_upper is None else r.gamma3_upper)))
+        out.write(line % _cells(r, ""))

@@ -47,20 +47,16 @@ def canonicalize(a, b, hand=Hand.RIGHT):
     (a,b) ~ (-a,-b) is an orientation reversal (same knot, same hand);
     flipping the sign of exactly one coordinate mirrors the knot; (a,b) ~
     (b,a) swaps the torus factors.  Any class with min(|a|,|b|) <= 1 is an
-    unknot and collapses to the canonical (1, 0, RIGHT).
+    unknot and collapses to the canonical (1, 0, RIGHT).  Raises
+    InputError for (0, 0) and for any other pair that is not coprime.
     """
     if a == 0 and b == 0:
         raise InputError("class (0, 0) is not a knot")
-    if math.gcd(abs(a), abs(b)) != 1:
-        raise InputError("class (%d, %d) is not primitive" % (a, b))
-    if a < 0 and b < 0:
-        a, b = -a, -b
-    elif a < 0:
-        a = -a
+    if math.gcd(a, b) != 1:
+        raise InputError("(%d, %d) are not coprime" % (a, b))
+    if (a < 0) != (b < 0):
         hand = Hand.LEFT if hand is Hand.RIGHT else Hand.RIGHT
-    elif b < 0:
-        b = -b
-        hand = Hand.LEFT if hand is Hand.RIGHT else Hand.RIGHT
+    a, b = abs(a), abs(b)
     if b > a:
         a, b = b, a
     if min(a, b) <= 1:

@@ -13,7 +13,7 @@ import crosscap4
 from crosscap4 import cli, heegaard, pinch, reports, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
 from crosscap4.cli import MAX_DIGITS, PINCH_BATCH, SCAN_MAX, main
-from crosscap4.errors import ConsistencyError
+from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.pinch import PINCH_MAX_P
 from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
 from crosscap4.torus import canonicalize
@@ -90,6 +90,29 @@ def test_report_invalid_input(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("fn", [
+    reports.report, torus.canonicalize, torus.sigma_rec, torus.sigma_lattice,
+    heegaard.t0, torus.alexander, pinch.pinch_step])
+def test_not_coprime_message(fn):
+    with pytest.raises(InputError) as exc:
+        fn(6, 4)
+    assert str(exc.value) == "(6, 4) are not coprime"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "6", "4"],
+    ["report", "6", "4", "--json"],
+    ["pinch", "6", "4"],
+    ["pinch", "6", "4", "--gamma3"],
+    ["dinv", "6", "4"],
+    ["signature", "6", "4"],
+    ["alexander", "6", "4"],
+    ["profile", "6", "4", "--from", "0", "--to", "1"],
+])
+def test_not_coprime_exits_2_with_one_message(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: (6, 4) are not coprime\n")
 
 
 @pytest.mark.parametrize("argv", [["report", "3", "2"],

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import crosscap4
 from crosscap4.errors import ConsistencyError, InputError
@@ -51,9 +51,26 @@ class TestCanonicalize:
     def test_errors(self):
         with pytest.raises(InputError, match=r"class \(0, 0\) is not a knot"):
             canonicalize(0, 0)
-        with pytest.raises(InputError,
-                           match=r"class \(4, 6\) is not primitive"):
+        with pytest.raises(InputError, match=r"\(4, 6\) are not coprime"):
             canonicalize(4, 6)
+
+    @given(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+           .filter(lambda ab: math.gcd(*ab) == 1),
+           st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+    def test_one_sign_flip_mirrors(self, ab, sa, sb):
+        # Negating both coordinates reverses orientation, negating one
+        # mirrors, and swapping them changes nothing.
+        a, b = ab
+        K = canonicalize(a, b)
+        expected = K if sa == sb else mirror(K)
+        assert canonicalize(sa * a, sb * b) == expected
+        assert canonicalize(sb * b, sa * a) == expected
+
+    @given(st.integers(-10 ** 6, 10 ** 6), st.sampled_from([1, -1]))
+    @example(0, -1)
+    @example(0, 1)
+    def test_zero_or_unit_coordinate_is_unknot(self, n, u):
+        assert canonicalize(n, u) == canonicalize(u, n) == UNKNOT
 
 
 class TestMirror:
