@@ -1,38 +1,44 @@
 """Lower bounds on the nonorientable four-ball genus, and the exact-rational
 audit of the inequality chain behind them.
 
-Two bound families per framing n (e(F) = 2n): the signature bound
-|sigma(K) - n| and the d-invariant bound n - 2*d(-1 surgery).  Their max
-over n, minimized, reproduces the closed-form absolute bound
-max(1, sigma/2 - d) taken over both chiralities.
+invariants is the one home of the hand convention: it turns one sigma_rec
+and one t0 into both chiralities' signature and d(-1-surgery) and the
+closed-form lower bound max(1, sigma/2 - d) taken over both chiralities.
+framed_profile gives the two bound families per framing n (e(F) = 2n):
+the signature bound |sigma(K) - n| and the d-invariant bound
+n - 2*d(-1 surgery).  Their max over n, minimized, reproduces the closed
+form.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
-from .heegaard import _hand_d_pm1, d_b_circle_bundle, d_pm1, t0
-from .torus import Hand, _signed_sigma, sigma_rec, signature
+from .heegaard import d_b_circle_bundle, t0
+from .torus import Hand, sigma_rec
 
 # One row per framing, streamed: 10^6 rows take 2 s and 15 MB (2-vCPU Xeon).
 PROFILE_MAX_ROWS = 10 ** 6
 
 
-def gamma4_lower(K):
-    """Absolute lower bound max(1, sigma/2 - d(-1-surgery)), maximized over
-    the two mirrors (the genus is mirror-invariant, the formula is not).
-    Never below 1: every nonorientable surface has b1 >= 1."""
-    s, t = sigma_rec(K.p, K.q), t0(K.p, K.q)
-    return _gamma4_lower(
-        _signed_sigma(Hand.RIGHT, s), _signed_sigma(Hand.LEFT, s),
-        _hand_d_pm1(Hand.RIGHT, t)[0], _hand_d_pm1(Hand.LEFT, t)[0])
+def invariants(p, q):
+    """Scalar invariants of T(p,q), (p, q) as canonicalize leaves it: the
+    tuple (sigma_right, sigma_left, t0, d_minus1_right, d_minus1_left,
+    gamma4_lower), BoundReport's fields in that order.
 
-
-def _gamma4_lower(sigma_right, sigma_left, d_right, d_left):
-    """gamma4_lower of the torus knot whose two chiralities have these
-    signatures and d-invariants of -1-surgery.  The signatures are
-    +-sigma_rec values, which sigma_rec has already checked are even."""
-    return max(1, sigma_right // 2 - d_right, sigma_left // 2 - d_left)
+    The hand convention: RIGHT is the positive knot T(p,q), whose
+    signature is -sigma_rec(p, q) and whose d-invariants are d(-1) = 0 and
+    d(+1) = -2*t0 (Ni-Wu: d(S^3_{+1}) = -2*V_0, and V_0 = t0).  The mirror
+    (LEFT) swaps and negates them: its signature is sigma_rec(p, q), its
+    d(-1) is 2*t0, and d(+1) of a knot is -d(-1) of its mirror.  The lower
+    bound is max(1, sigma/2 - d(-1)) over both hands, since the genus is
+    mirror-invariant and the formula is not; it is never below 1, because
+    every nonorientable surface has b1 >= 1.
+    """
+    s, t = sigma_rec(p, q), t0(p, q)
+    sigma_right, sigma_left, d_right, d_left = -s, s, 0, 2 * t
+    return (sigma_right, sigma_left, t, d_right, d_left,
+            max(1, sigma_right // 2 - d_right, sigma_left // 2 - d_left))
 
 
 def framed_profile(K, n_lo, n_hi):
@@ -49,8 +55,8 @@ def framed_profile(K, n_lo, n_hi):
     if n_hi - n_lo >= PROFILE_MAX_ROWS:
         raise InputError("profile accepts at most %d framings, got %d"
                          % (PROFILE_MAX_ROWS, n_hi - n_lo + 1))
-    s = signature(K)
-    dm1, _ = d_pm1(K)
+    inv = invariants(K.p, K.q)
+    s, dm1 = (inv[0], inv[3]) if K.hand is Hand.RIGHT else (inv[1], inv[4])
     return ((n, sig_b, d_b, max(sig_b, d_b, 0)) for n, sig_b, d_b in
             ((n, abs(s - n), n - 2 * dm1) for n in range(n_lo, n_hi + 1)))
 

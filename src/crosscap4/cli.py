@@ -18,7 +18,7 @@ import sys
 
 from . import bounds, heegaard, pinch, reports, torus
 from .errors import ConsistencyError, InputError
-from .torus import Hand, canonicalize, mirror
+from .torus import canonicalize, mirror
 
 # scan makes about 0.3 * max^2 reports, each walking a few pinch runs and
 # printing no trace: `scan --max 300 --csv` (27,000 rows, streamed) takes
@@ -40,7 +40,7 @@ MAX_DIGITS = 1000
 def _cmd_report(args, out):
     r = reports.report(args.p, args.q)
     if args.json:
-        out.writelines(reports._json_parts(r))
+        out.writelines(reports.json_parts(r))
         out.write("\n")
         return 0
     print("knot: T(%d,%d)" % (r.p, r.q), file=out)
@@ -142,11 +142,10 @@ def _cmd_alexander(args, out):
 
 def _cmd_dinv(args, out):
     K = canonicalize(args.p, args.q)
-    t = heegaard.t0(K.p, K.q)  # 0 for the unknot; a mirror has the same t0
-    rm1, rp1 = heegaard._hand_d_pm1(Hand.RIGHT, t)
-    lm1, lp1 = heegaard._hand_d_pm1(Hand.LEFT, t)
-    print("right-handed: d(-1) = %d, d(+1) = %d" % (rm1, rp1), file=out)
-    print("left-handed:  d(-1) = %d, d(+1) = %d" % (lm1, lp1), file=out)
+    _, _, _, right, left, _ = bounds.invariants(K.p, K.q)
+    # d(+1) of a knot is -d(-1) of its mirror
+    print("right-handed: d(-1) = %d, d(+1) = %d" % (right, -left), file=out)
+    print("left-handed:  d(-1) = %d, d(+1) = %d" % (left, -right), file=out)
     return 0
 
 

@@ -2,14 +2,15 @@
 
 Torus knots admit positive lens space surgeries, so the d-invariants of
 their (+-1)-surgeries are read off from the torsion coefficient t0
-of the Alexander polynomial.  Rationals are exact (fractions.Fraction).
+of the Alexander polynomial; bounds.invariants says which hand gets
+which sign.  Rationals are exact (fractions.Fraction).
 """
 
 from fractions import Fraction
 
 from .errors import InputError
 from .numtheory import floor_sum
-from .torus import Hand, _check_pair
+from .torus import check_pair
 
 
 def t0(p, q):
@@ -21,7 +22,7 @@ def t0(p, q):
     floor_sum: O(log pq).  alexander_t0(alexander(p, q)) in torus.py is
     the independent oracle.  Raises InputError for a negative argument.
     """
-    _check_pair("t0", p, q)
+    check_pair("t0", p, q)
     if q > p:
         p, q = q, p
     if q <= 1:
@@ -29,20 +30,6 @@ def t0(p, q):
     g = (p - 1) * (q - 1) // 2
     n = (g - 1) // p + 1
     return n + floor_sum(n, q, p, (g - 1) % p)
-
-
-def d_pm1(K):
-    """d-invariants (d of -1-surgery, d of +1-surgery) of the knot K.
-
-    For a right-handed torus knot these are (0, -2*t0); mirroring swaps
-    and negates.  Both values are even by construction: t0 is an integer.
-    """
-    return _hand_d_pm1(K.hand, t0(K.p, K.q))
-
-
-def _hand_d_pm1(hand, t):
-    """d_pm1 of the torus knot of this hand whose torsion coefficient is t."""
-    return (0, -2 * t) if hand is Hand.RIGHT else (2 * t, 0)
 
 
 def d_minus1_alternating(sigma):

@@ -20,9 +20,9 @@ through T(m,1) is one TAIL run (t = p_i - 1, h = 0, a, b = 1, 0) of m/2
 steps.
 
 pinch_runs yields the runs, with two modular inverses per run;
-gamma4_upper and gamma3_upper sum their lengths, and run_columns expands
-a run into its steps as ranges, so no caller makes a Python object per
-step.
+reports.report sums their lengths into both upper bounds, and run_columns
+expands a run into its steps as ranges, so no caller makes a Python
+object per step.
 """
 
 import math
@@ -151,14 +151,3 @@ def run_columns(run, lo=0, hi=None):
     ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind != POSITIVE)
     qs, hs, ss = _column(q - 2 * lo * b, b, hi - lo, kind == MIRRORED)
     return ps, qs, ts, hs, rs, ss
-
-
-def gamma4_upper(K):
-    """b1 of the pinch surface bounding K: an upper bound for the
-    nonorientable four-ball genus.  1 for the unknot (Mobius band)."""
-    return max(1, sum(run[5] for run in pinch_runs(K, GAMMA4)))
-
-
-def gamma3_upper(K):
-    """b1 of the in-S^3 pinch surface; requires p*q even."""
-    return max(1, sum(run[5] for run in pinch_runs(K, GAMMA3)))

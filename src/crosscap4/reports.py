@@ -2,11 +2,10 @@
 
 from typing import NamedTuple, Optional
 
-from .bounds import _gamma4_lower
+from .bounds import invariants
 from .errors import ConsistencyError, InputError
-from .heegaard import _hand_d_pm1, t0
 from .pinch import GAMMA3, GAMMA4, TAIL, landing, pinch_runs, run_columns
-from .torus import Hand, _signed_sigma, canonicalize, sigma_rec
+from .torus import canonicalize
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
 # pairs, so `table --json` prints O(k_max^2) pairs; CSV and TSV rows print
@@ -62,19 +61,15 @@ def report(p, q):
     genus bounds, exactness flag, and the runs of the pinch walk behind the
     upper bound (trace_parts prints them as the pinch trace).  The input
     pair is canonicalized first.  Both chiralities and the lower bound come
-    from one sigma_rec and one t0, both upper bounds and the runs from one
-    pinch walk.  Signs are canonicalized away, so report(-3, 2) ==
+    from one call of bounds.invariants, both upper bounds and the runs from
+    one pinch walk.  Signs are canonicalized away, so report(-3, 2) ==
     report(3, 2).  A zero coordinate raises InputError here, and a
     non-coprime pair raises it in canonicalize."""
     if p == 0 or q == 0:
         raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
     K = canonicalize(p, q)
-    s, t = sigma_rec(K.p, K.q), t0(K.p, K.q)
-    sigma_right, sigma_left = (_signed_sigma(Hand.RIGHT, s),
-                               _signed_sigma(Hand.LEFT, s))
-    d_right, _ = _hand_d_pm1(Hand.RIGHT, t)
-    d_left, _ = _hand_d_pm1(Hand.LEFT, t)
-    lower = _gamma4_lower(sigma_right, sigma_left, d_right, d_left)
+    inv = invariants(K.p, K.q)
+    lower = inv[5]
 
     # One walk serves both upper bounds and the runs: when pq is even it is
     # the GAMMA3 walk, whose runs less its TAIL are the GAMMA4 walk.
@@ -90,16 +85,8 @@ def report(p, q):
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
                                % (lower, upper, K))
 
-    return BoundReport(
-        p=K.p, q=K.q,
-        sigma_right=sigma_right, sigma_left=sigma_left,
-        t0=t,
-        d_minus1_right=d_right, d_minus1_left=d_left,
-        gamma4_lower=lower, gamma4_upper=upper,
-        exact=(lower == upper),
-        gamma3_upper=max(1, n3) if even else None,
-        pinch_runs=tuple(runs),
-    )
+    return BoundReport(K.p, K.q, *inv, upper, lower == upper,
+                       max(1, n3) if even else None, tuple(runs))
 
 
 def family_table(k_max):
@@ -134,31 +121,25 @@ def _cells(r, null):
                     null if r.gamma3_upper is None else r.gamma3_upper)
 
 
-def _json_parts(r, indent=""):
-    """emit_json(r) in parts, with indent after every newline ("" or two
-    spaces): the scalar fields, the trace pairs in batches, the closing
-    brackets."""
+def json_parts(r, indent=""):
+    """Deterministic JSON text for one report, in parts, with indent after
+    every newline ("" or two spaces): its scalar fields in field order,
+    then "pinch_trace", the list of trace pairs in batches, laid out as
+    json.dumps(indent=2) lays them out, then the closing brackets."""
     head, pair, tail = _JSON_TEMPLATES[indent]
     yield head % _cells(r, "null")
     yield from trace_parts(r, ",", pair)
     yield tail
 
 
-def emit_json(r):
-    """Deterministic JSON text for one report: its scalar fields in field
-    order, then "pinch_trace", the list of trace pairs, laid out as
-    json.dumps(indent=2) lays them out."""
-    return "".join(_json_parts(r))
-
-
 def write_rows(rows, out, fmt):
     """Write each report of rows to out as it is made: CSV or TSV lines
-    under a header, or a JSON list of the emit_json texts, laid out as
+    under a header, or a JSON list of the json_parts texts, laid out as
     json.dumps(indent=2) lays out a list, plus a newline."""
     if fmt == JSON:
         sep = "[\n  "
         for r in rows:
-            out.write(sep + "".join(_json_parts(r, "  ")))
+            out.write(sep + "".join(json_parts(r, "  ")))
             sep = ",\n  "
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
         return

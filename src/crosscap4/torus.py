@@ -2,10 +2,10 @@
 
 The handedness and signature conventions live here: RIGHT denotes the
 positive torus knot T(p,q), whose signature is negative (e.g. the right
-trefoil has signature -2); LEFT denotes its mirror.  The d-invariant
-convention (the RIGHT knot has d(+1) = -2*t0) lives in
-heegaard._hand_d_pm1.  sigma_rec and sigma_lattice both compute the
-nonnegative quantity -signature(T(p,q)) and cross-validate each other.
+trefoil has signature -2); LEFT denotes its mirror.  bounds.invariants
+applies this convention, and the d-invariant one (the RIGHT knot has
+d(+1) = -2*t0), to both hands.  sigma_rec and sigma_lattice both compute
+the nonnegative quantity -signature(T(p,q)) and cross-validate each other.
 An Alexander polynomial is a map {exponent: coefficient}.
 """
 
@@ -72,7 +72,8 @@ def mirror(K):
     return TorusKnotClass(K.p, K.q, flipped)
 
 
-def _check_pair(name, p, q):
+def check_pair(name, p, q):
+    """Raise InputError unless p and q are nonnegative and coprime."""
     if p < 0 or q < 0:
         raise InputError("%s expects nonnegative arguments, got (%d, %d)"
                          % (name, p, q))
@@ -93,7 +94,7 @@ def sigma_rec(p, q):
     closed-form alternating sum.  Each pass reduces the pair like a step of
     Euclid's algorithm, so the cost is O(log p) with no stack growth.
     """
-    _check_pair("sigma_rec", p, q)
+    check_pair("sigma_rec", p, q)
     pair = (p, q)
     total = 0
     sign = 1
@@ -149,7 +150,7 @@ def sigma_lattice(p, q):
     one floor_sum, O(log(p + q)) time.  Boundary equalities are impossible
     by coprimality and are asserted against.
     """
-    _check_pair("sigma_lattice", p, q)
+    check_pair("sigma_lattice", p, q)
     if p < 1 or q < 1:
         raise InputError("sigma_lattice expects p, q >= 1, got (%d, %d)"
                          % (p, q))
@@ -164,16 +165,6 @@ def sigma_lattice(p, q):
     c = (p * q - 1) // 2
     n = c // p
     return (p - 1) * (q - 1) - 4 * floor_sum(n, q, p, c - n * p)
-
-
-def signature(K):
-    """Signature of the knot; negative for positive (RIGHT) torus knots."""
-    return _signed_sigma(K.hand, sigma_rec(K.p, K.q))
-
-
-def _signed_sigma(hand, s):
-    """Signature of the torus knot of this hand whose sigma_rec is s."""
-    return -s if hand is Hand.RIGHT else s
 
 
 # Delta costs O(g) time and memory, about 100 MB at this limit.
@@ -193,7 +184,7 @@ def alexander(p, q):
     is the mirror trefoil, not an unknot) and when g exceeds
     ALEXANDER_MAX_GENUS.
     """
-    _check_pair("alexander", p, q)
+    check_pair("alexander", p, q)
     if q > p:
         p, q = q, p
     if q <= 1:

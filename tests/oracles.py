@@ -1,19 +1,49 @@
-"""Brute-force oracles that only the tests call.
+"""Brute-force oracles, and readers of CLI output, that only the tests call.
 
-minmax_over_framings checks the closed-form lower bound gamma4_lower by
-minimizing the per-framing obstruction over a whole window of framings;
+oracle_invariants derives both hands' signature and d(-1-surgery) from
+the engines that bounds.invariants does not use, and minmax_over_framings
+checks the closed-form lower bound gamma4_lower by minimizing the
+per-framing obstruction over a whole window of framings;
 step_walk checks the pinch runs by making the walk one step at a time, and
 trace_pairs and report_dict build from it the pinch trace and the JSON
-object that the report emitters print.
+object that the report emitters print.  dinv_numbers reads back the four
+d-invariants that `dinv` prints.
 """
 
+import contextlib
+import io
 import math
+import re
 
+from crosscap4.cli import main
 from crosscap4.errors import ConsistencyError
-from crosscap4.heegaard import d_pm1
 from crosscap4.pinch import GAMMA4, pinch_step
 from crosscap4.reports import BoundReport
-from crosscap4.torus import mirror, signature
+from crosscap4.torus import Hand, alexander, alexander_t0, sigma_lattice
+
+
+def oracle_invariants(p, q):
+    """(sigma_right, sigma_left, t0, d_minus1_right, d_minus1_left) of
+    T(p,q), q >= 1, from the lattice count of sigma and the Alexander
+    coefficients of t0, neither of which bounds.invariants calls.
+
+    The convention, written out: the positive torus knot T(p,q) (RIGHT)
+    has negative signature, -sigma_lattice(p, q).  It is an L-space knot
+    whose V_0 is t0, so d(S^3_{+1}) = -2*V_0 and d(S^3_{-1}) = 0 (Ni-Wu).
+    Mirroring (LEFT) negates the signature, and S^3_{-1} of the mirror is
+    S^3_{+1} of the knot with its orientation reversed, which negates d.
+    """
+    t = alexander_t0(alexander(p, q))
+    sigma_right = -sigma_lattice(p, q)
+    d_minus1_right, d_plus1_right = 0, -2 * t
+    sigma_left, d_minus1_left = -sigma_right, -d_plus1_right
+    return sigma_right, sigma_left, t, d_minus1_right, d_minus1_left
+
+
+def hand_invariants(K):
+    """(signature, d of -1-surgery) of K's hand, by oracle_invariants."""
+    inv = oracle_invariants(K.p, K.q)
+    return (inv[0], inv[3]) if K.hand is Hand.RIGHT else (inv[1], inv[4])
 
 
 def minmax_over_framings(K, n_lo, n_hi):
@@ -23,9 +53,8 @@ def minmax_over_framings(K, n_lo, n_hi):
     if n_lo > n_hi:
         raise ValueError("empty framing window [%d, %d]" % (n_lo, n_hi))
     best = 1
-    for Kc in (K, mirror(K)):
-        s = signature(Kc)
-        dm1, _ = d_pm1(Kc)
+    inv = oracle_invariants(K.p, K.q)
+    for s, dm1 in ((inv[0], inv[3]), (inv[1], inv[4])):  # RIGHT, LEFT
         # |s - n| and n - 2*dm1 at every framing n in the window, as
         # ranges; the larger of the two is never negative.
         sig = map(abs, range(s - n_lo, s - n_hi - 1, -1))
@@ -78,3 +107,12 @@ def report_dict(r, trace):
     d = {name: getattr(r, name) for name in BoundReport._fields[:-1]}
     d["pinch_trace"] = trace
     return d
+
+
+def dinv_numbers(p, q):
+    """The four numbers `dinv p q` prints: right d(-1), d(+1), then left
+    d(-1), d(+1)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["dinv", str(p), str(q)]) == 0
+    return tuple(map(int, re.findall(r"= (-?\d+)", out.getvalue())))

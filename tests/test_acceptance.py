@@ -9,17 +9,14 @@ from itertools import chain
 
 import pytest
 
-from crosscap4.bounds import gamma4_lower, obstruction_audit
+from crosscap4.bounds import invariants, obstruction_audit
 from crosscap4.cli import main
 from crosscap4.errors import InputError
-from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
-                                d_pm1, t0)
-from crosscap4.pinch import (GAMMA4, gamma3_upper, gamma4_upper, pinch_runs,
-                             run_columns)
-from crosscap4.reports import emit_json, family_table, report
-from crosscap4.torus import (Hand, TorusKnotClass, alexander,
-                             alexander_family, canonicalize, mirror,
-                             sigma_lattice, sigma_rec, signature)
+from crosscap4.heegaard import d_b_circle_bundle, d_minus1_alternating, t0
+from crosscap4.pinch import GAMMA3, GAMMA4, pinch_runs, run_columns
+from crosscap4.reports import family_table, json_parts, report
+from crosscap4.torus import (alexander, alexander_family, canonicalize,
+                             sigma_lattice, sigma_rec)
 from oracles import minmax_over_framings
 
 
@@ -66,8 +63,8 @@ def test_criterion_04_torsion_coefficient():
 
 def test_criterion_05_d_invariant_family():
     for k in range(2, 31):
-        K = TorusKnotClass(2 * k, 2 * k - 1, Hand.LEFT)
-        assert d_pm1(K)[0] == k * k - k
+        d_minus1_left = invariants(2 * k, 2 * k - 1)[4]
+        assert d_minus1_left == k * k - k
     ok(5, "d(-1-surgery) of left T(2k,2k-1) = k^2-k for k = 2..30")
 
 
@@ -98,13 +95,12 @@ def test_criterion_08_closed_form_equals_brute_force():
         B = (p - 1) * (q - 1)
         # The brute force covers both chiralities, over a window holding
         # the window [s - 4B, s + 4B] of each chirality's signature s.
-        s = abs(signature(K))
+        s = sigma_rec(p, q)
         brute = minmax_over_framings(K, -s - 4 * B, s + 4 * B)
-        for Kc in (K, mirror(K)):
-            assert gamma4_lower(Kc) == brute, (p, q)
-            count += 1
-    ok(8, "gamma4_lower = brute-force min-max on %d knot/chirality pairs"
-       % count)
+        assert invariants(p, q)[5] == brute, (p, q)
+        count += 1
+    ok(8, "gamma4_lower = brute-force min-max over both chiralities of %d "
+          "knots" % count)
 
 
 def test_criterion_09_pinch_invariants():
@@ -121,20 +117,20 @@ def test_criterion_09_pinch_invariants():
             prev_max = max(abs(r), abs(s), 1)
         assert len(steps) < p
     for k in range(1, 51):
-        assert gamma4_upper(canonicalize(2 * k + 1, 2)) == 1
+        assert report(2 * k + 1, 2).gamma4_upper == 1
     for p, q in coprime_pairs(100):
-        K = canonicalize(p, q)
-        assert gamma4_upper(K) >= gamma4_lower(K), (p, q)
+        steps = sum(run[5] for run in pinch_runs(canonicalize(p, q), GAMMA4))
+        assert max(1, steps) >= invariants(p, q)[5], (p, q)
     ok(9, "pinch parity/primitivity/decrease/termination <= 300; Mobius "
           "bands for T(2k+1,2); upper >= lower <= 100")
 
 
 def test_criterion_10_gamma3_values():
-    assert gamma3_upper(canonicalize(4, 3)) == 2
+    assert report(4, 3).gamma3_upper == 2
     for k in range(2, 26):
-        assert gamma3_upper(canonicalize(2 * k, 2 * k - 1)) == k
+        assert report(2 * k, 2 * k - 1).gamma3_upper == k
     with pytest.raises(InputError, match=r"needs p\*q even"):
-        gamma3_upper(canonicalize(7, 3))
+        pinch_runs(canonicalize(7, 3), GAMMA3)
     ok(10, "gamma3(T(4,3)) = 2; gamma3(T(2k,2k-1)) = k for k = 2..25; "
            "parity guard")
 
@@ -167,6 +163,7 @@ def test_criterion_12_specific_certificates(capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert emit_json(report(4, 3)) == emit_json(report(4, 3))
+    assert "".join(json_parts(report(4, 3))) == \
+        "".join(json_parts(report(4, 3)))
     ok(12, "gamma4(T(4,3)) = 1; T(5,3) upper bound from one pinch; CLI "
            "output byte-identical across runs")

@@ -3,14 +3,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap4 import bounds
-from crosscap4.bounds import framed_profile, gamma4_lower, obstruction_audit
+from crosscap4.bounds import framed_profile, invariants, obstruction_audit
 from crosscap4.errors import InputError
-from crosscap4.heegaard import d_pm1
+from crosscap4.reports import report
 from crosscap4.torus import (Hand, TorusKnotClass, canonicalize, mirror,
-                             signature)
-from oracles import minmax_over_framings
+                             sigma_rec)
+from oracles import (dinv_numbers, hand_invariants, minmax_over_framings,
+                     oracle_invariants)
+
+
+def gamma4_lower(K):
+    """The kernel's lower bound for K; the hand does not enter."""
+    return invariants(K.p, K.q)[5]
 
 
 def framed_lower(K, n):
@@ -33,8 +40,7 @@ def test_framed_lower_left_t43():
 def test_framed_lower_at_signature_framing():
     for K in [TorusKnotClass(5, 3, Hand.LEFT),
               TorusKnotClass(7, 2, Hand.RIGHT)]:
-        s = signature(K)
-        dm1, _ = d_pm1(K)
+        s, dm1 = hand_invariants(K)
         assert framed_lower(K, s) == max(0, s - 2 * dm1)
 
 
@@ -52,9 +58,12 @@ def test_gamma4_lower_family():
 
 
 def test_gamma4_lower_mirror_invariant():
+    # the kernel takes no hand, so a knot and its mirror share one bound,
+    # and that bound is the max over both hands of the oracle's sigma/2 - d
     for p, q in [(3, 2), (6, 5), (7, 3), (9, 4)]:
         K = canonicalize(p, q)
-        assert gamma4_lower(K) == gamma4_lower(mirror(K))
+        assert gamma4_lower(K) == gamma4_lower(mirror(K)) == max(
+            1, *(s // 2 - d for s, d in map(hand_invariants, (K, mirror(K)))))
 
 
 def test_minmax_matches_closed_form():
@@ -72,11 +81,29 @@ def test_minmax_equals_closed_form_sweep():
             if math.gcd(p, q) != 1:
                 continue
             K = canonicalize(p, q)
-            s = abs(signature(K))
+            s = sigma_rec(p, q)
             B = (p - 1) * (q - 1)
             for Kc in (K, mirror(K)):
                 assert gamma4_lower(Kc) == \
                     minmax_over_framings(Kc, s - 4 * B, s + 4 * B), (p, q)
+
+
+coprime_below_300 = st.tuples(st.integers(3, 299), st.integers(2, 298)).filter(
+    lambda pq: pq[1] < pq[0] and math.gcd(*pq) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_below_300)
+def test_invariants_match_oracles(pq):
+    p, q = pq
+    inv = invariants(p, q)
+    s_right, s_left, t, d_right, d_left = oracle_invariants(p, q)
+    assert inv == (s_right, s_left, t, d_right, d_left,
+                   max(1, s_right // 2 - d_right, s_left // 2 - d_left))
+    assert report(p, q)[2:8] == inv
+    right_m1, right_p1, left_m1, left_p1 = dinv_numbers(p, q)
+    assert (right_m1, left_m1) == (d_right, d_left)
+    assert (right_p1, left_p1) == (-left_m1, -right_m1)
 
 
 def test_framed_profile_rows():

@@ -118,7 +118,8 @@ def test_not_coprime_exits_2_with_one_message(capsys, argv):
 @pytest.mark.parametrize("argv", [["report", "3", "2"],
                                   ["report", "3", "2", "--json"]])
 def test_report_failed_check_leaves_stdout_empty(capsys, monkeypatch, argv):
-    monkeypatch.setattr(reports, "_gamma4_lower", lambda *_: 99)
+    monkeypatch.setattr(reports, "invariants",
+                        lambda p, q: (-2, 2, 1, 0, 2, 99))
     assert run(capsys, *argv) == (
         3, "", "internal error: lower bound 99 exceeds upper 1 for T(3,2)\n")
 
@@ -338,15 +339,16 @@ def test_dinv(capsys):
 
 def test_dinv_computes_t0_once(capsys, monkeypatch):
     calls = []
+    t0 = heegaard.t0
 
-    def counted(p, q, _t0=heegaard.t0):
+    def counted(p, q):
         calls.append((p, q))
-        return _t0(p, q)
+        return t0(p, q)
 
-    # rebind t0 wherever a crosscap4 module imported it
+    # rebind t0 wherever a crosscap4 module imported it, heegaard included
     for name, mod in list(sys.modules.items()):
         if name == "crosscap4" or name.startswith("crosscap4."):
-            if getattr(mod, "t0", None) is heegaard.t0:
+            if getattr(mod, "t0", None) is t0:
                 monkeypatch.setattr(mod, "t0", counted)
     code, out, _ = run(capsys, "dinv", "7", "4")
     assert code == 0

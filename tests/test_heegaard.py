@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from crosscap4.errors import InputError
-from crosscap4.heegaard import (d_b_circle_bundle, d_minus1_alternating,
-                                d_pm1, t0)
+from crosscap4.heegaard import d_b_circle_bundle, d_minus1_alternating, t0
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
                              alexander_t0, mirror, sigma_rec)
+from oracles import dinv_numbers
+
+
+def d_pm1(K):
+    """(d(-1), d(+1)) of K's hand, as `dinv` prints them."""
+    numbers = dinv_numbers(K.p, K.q)
+    return numbers[:2] if K.hand is Hand.RIGHT else numbers[2:]
 
 
 def test_t0_values():

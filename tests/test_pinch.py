@@ -4,12 +4,13 @@ from itertools import chain
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from crosscap4.bounds import gamma4_lower
+from crosscap4.bounds import invariants
 from crosscap4.errors import InputError
 from crosscap4.pinch import (GAMMA3, GAMMA4, MIRRORED, PINCH_MAX_P, POSITIVE,
-                             TAIL, gamma3_upper, gamma4_upper, landing,
-                             pinch_runs, pinch_step, run_columns)
-from crosscap4.torus import UNKNOT, Hand, canonicalize
+                             TAIL, landing, pinch_runs, pinch_step,
+                             run_columns)
+from crosscap4.reports import report
+from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
 
 
@@ -75,7 +76,7 @@ def test_sequence_declared_domain():
     with pytest.raises(InputError, match=over):
         run_steps(canonicalize(n + 1, 3), GAMMA4)  # raised at the call
     with pytest.raises(InputError, match=over):
-        gamma4_upper(canonicalize(n + 1, 3))
+        report(n + 1, 3)
 
 
 def test_sequence_family():
@@ -97,22 +98,22 @@ def test_sequence_t53_single_pinch():
 
 
 def test_gamma4_upper_values():
-    assert gamma4_upper(canonicalize(8, 7)) == 3
-    assert gamma4_upper(canonicalize(7, 4)) == 2
-    assert gamma4_upper(UNKNOT) == 1
+    assert report(8, 7).gamma4_upper == 3
+    assert report(7, 4).gamma4_upper == 2
+    assert report(1, 1).gamma4_upper == 1  # the unknot bounds a Mobius band
     for k in range(1, 20):
-        assert gamma4_upper(canonicalize(2 * k + 1, 2)) == 1
+        assert report(2 * k + 1, 2).gamma4_upper == 1
 
 
 def test_gamma3_upper_values():
-    assert gamma3_upper(canonicalize(3, 2)) == 1
+    assert report(3, 2).gamma3_upper == 1
     for k in range(2, 26):
-        assert gamma3_upper(canonicalize(2 * k, 2 * k - 1)) == k
+        assert report(2 * k, 2 * k - 1).gamma3_upper == k
 
 
 def test_gamma3_parity_guard():
     with pytest.raises(InputError, match=r"needs p\*q even, got T\(7,3\)"):
-        gamma3_upper(canonicalize(7, 3))
+        pinch_runs(canonicalize(7, 3), GAMMA3)
 
 
 def test_step_invariants_sweep():
@@ -136,18 +137,19 @@ def test_upper_never_below_lower():
         for q in range(2, p):
             if math.gcd(p, q) != 1:
                 continue
-            K = canonicalize(p, q)
-            assert gamma4_upper(K) >= gamma4_lower(K), (p, q)
+            steps = sum(run[5] for run in pinch_runs(canonicalize(p, q)))
+            assert max(1, steps) >= invariants(p, q)[5], (p, q)
 
 
 def check_runs_against_oracle(p, q):
     K = canonicalize(p, q)
+    r = report(p, q)
     for mode in (GAMMA4, GAMMA3) if (p * q) % 2 == 0 else (GAMMA4,):
         runs = list(pinch_runs(K, mode))
         steps = list(step_walk(K, mode))
         assert list(run_steps(K, mode)) == steps, (p, q, mode)
         assert len(runs) <= p.bit_length(), (p, q, mode, len(runs))
-        upper = gamma4_upper(K) if mode == GAMMA4 else gamma3_upper(K)
+        upper = r.gamma4_upper if mode == GAMMA4 else r.gamma3_upper
         assert upper == max(1, len(steps)), (p, q, mode)
         if runs:  # each run starts where the one before it landed
             assert [run[:2] for run in runs[1:]] == list(map(landing,
@@ -176,7 +178,7 @@ def test_runs_multi_run_mirrored_walk():
     runs = list(pinch_runs(K, GAMMA4))
     assert len(runs) > 1
     assert MIRRORED in [run[4] for run in runs]
-    assert sum(run[5] for run in runs) == gamma4_upper(K) == 4944
+    assert sum(run[5] for run in runs) == report(K.p, K.q).gamma4_upper == 4944
     assert list(run_steps(K, GAMMA4)) == list(step_walk(K, GAMMA4))
 
 
@@ -188,7 +190,7 @@ def test_runs_gamma3_tail():
     steps = list(run_steps(K, GAMMA3))
     assert steps == list(step_walk(K, GAMMA3))
     assert steps[-2:] == [(4, 1, 3, 0, -2, 1), (2, 1, 1, 0, 0, 1)]
-    assert gamma3_upper(K) == 501
+    assert report(K.p, K.q).gamma3_upper == 501
     assert list(pinch_runs(K, GAMMA4)) == runs[:-1]  # no tail in GAMMA4
 
 
@@ -206,7 +208,7 @@ def test_runs_family_is_one_run():
     run, = pinch_runs(K, GAMMA4)
     assert run == (999998, 999997, 1, 1, POSITIVE, 499998)
     assert landing(run) == (2, 1)
-    assert gamma4_upper(K) == 499998
+    assert report(K.p, K.q).gamma4_upper == 499998
 
 
 def test_runs_columns_slice_a_run():

@@ -7,19 +7,24 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crosscap4 import heegaard, pinch, reports, torus
-from crosscap4.bounds import gamma4_lower
+from crosscap4 import bounds, heegaard, pinch, reports, torus
+from crosscap4.bounds import invariants
 from crosscap4.errors import InputError
 from crosscap4.pinch import MIRRORED, POSITIVE
 from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON,
-                               TRACE_BATCH, TSV, BoundReport, emit_json,
-                               family_table, report, trace_parts, write_rows)
-from crosscap4.torus import canonicalize, mirror
+                               TRACE_BATCH, TSV, BoundReport, family_table,
+                               json_parts, report, trace_parts, write_rows)
+from crosscap4.torus import canonicalize
 from oracles import report_dict, trace_pairs
 
 
 def trace_text(r):
     return "".join(trace_parts(r, " -> ", "(%d,%d)"))
+
+
+def emit_json(r):
+    """The JSON text of one report, as `report --json` prints it."""
+    return "".join(json_parts(r))
 
 
 def oracle_dict(r):
@@ -181,7 +186,7 @@ def test_family_table_makes_rows_lazily(monkeypatch):
 
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = {}
-    for fn in (torus.sigma_rec, heegaard.t0, heegaard._hand_d_pm1,
+    for fn in (torus.sigma_rec, heegaard.t0, bounds.invariants,
                pinch.pinch_runs, pinch.landing):
         calls[fn.__name__] = 0
 
@@ -196,9 +201,9 @@ def test_report_computes_each_invariant_once(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
     report(10, 9)
-    # one d(-1) per chirality; landing only checks the GAMMA3 walk's two
-    # runs, (10, 9) -> (2, 1) and its TAIL to (0, 1)
-    assert calls == {"sigma_rec": 1, "t0": 1, "_hand_d_pm1": 2,
+    # landing only checks the GAMMA3 walk's two runs, (10, 9) -> (2, 1)
+    # and its TAIL to (0, 1)
+    assert calls == {"sigma_rec": 1, "t0": 1, "invariants": 1,
                      "pinch_runs": 1, "landing": 2}
 
 
@@ -225,7 +230,7 @@ def test_report_properties(pq):
     assert report(q, p) == r
     assert r.gamma4_lower <= r.gamma4_upper
     K = canonicalize(p, q)
-    assert gamma4_lower(K) == gamma4_lower(mirror(K)) == r.gamma4_lower
+    assert r[2:8] == invariants(K.p, K.q)
     pairs = trace_pairs(K)
     assert r.gamma4_upper == max(1, len(pairs) - 1)
     check_same_text(trace_text(r), " -> ".join(map("(%d,%d)".__mod__, pairs)))
@@ -303,7 +308,7 @@ def family_report(steps):
 
 def test_json_parts_hold_at_most_one_batch():
     r = family_report(3 * TRACE_BATCH + 5)
-    parts = list(reports._json_parts(r))
+    parts = list(json_parts(r))
     # the head, four batches of starts, the landing, the closing brackets
     assert len(parts) == 2 + 4 + 1
     pair_text = len(reports._JSON_PAIR % (r.p, r.q)) + 1

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import crosscap4
+from crosscap4.bounds import invariants
 from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.heegaard import t0
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
                              alexander_family, alexander_t0, alexander_text,
-                             canonicalize, mirror, sigma_lattice, sigma_rec,
-                             signature)
+                             canonicalize, mirror, sigma_lattice, sigma_rec)
 
 
 def coprime_pairs(limit, q_min=2):
@@ -148,6 +148,12 @@ class TestSigma:
         with pytest.raises(InputError,
                            match="sigma_lattice expects p, q >= 1"):
             sigma_lattice(1, 0)
+
+
+def signature(K):
+    """Signature of K's hand, as the invariants kernel gives it."""
+    sigma_right, sigma_left = invariants(K.p, K.q)[:2]
+    return sigma_right if K.hand is Hand.RIGHT else sigma_left
 
 
 class TestSignature:
