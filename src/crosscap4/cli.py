@@ -18,18 +18,12 @@ import sys
 
 from . import bounds, heegaard, pinch, reports, torus
 from .errors import ConsistencyError, InputError
-from .torus import canonicalize, mirror
+from .torus import canonicalize
 
 # scan makes about 0.3 * max^2 reports, each walking a few pinch runs and
 # printing no trace: `scan --max 300 --csv` (27,000 rows, streamed) takes
 # about 0.7-0.9 s and 15 MB on a 2-vCPU Xeon VM.
 SCAN_MAX = 300
-
-# `pinch` writes its step lines in batches of this many.  Two `pinch p p-1`
-# calls at p near 121,000 peak at about 26.6 MB with batches of 128 or 256
-# lines, 26.75 MB with 512 and 26.8 MB with 1024, at the same speed: `pinch
-# 1000000 999999` takes 0.3-0.5 s with each, on a 2-vCPU Xeon VM.
-PINCH_BATCH = 256
 
 # Integer arguments of up to this many digits keep every printed value (t0
 # grows as p*q, audit's c1^2 as a ratio of squares) at most 2,001 digits
@@ -103,8 +97,8 @@ def _cmd_pinch(args, out):
         # the start of step i + 1: each line joins two pair strings, and each
         # pair is formatted once.
         mid = ") --t=%d,h=%d--> (" % (a, b)
-        for lo in range(0, n, PINCH_BATCH):
-            hi = min(n, lo + PINCH_BATCH)
+        for lo in range(0, n, pinch.STEP_BATCH):
+            hi = min(n, lo + pinch.STEP_BATCH)
             if kind == pinch.POSITIVE:
                 starts = list(map(pair, zip(
                     *pinch.run_columns(run, lo, hi + 1)[:2])))
@@ -151,8 +145,6 @@ def _cmd_dinv(args, out):
 
 def _cmd_profile(args, out):
     K = canonicalize(args.p, args.q)
-    if args.mirror:
-        K = mirror(K)
     rows = bounds.framed_profile(K, args.n_from, args.n_to)
     if args.csv:
         out.write("n,sig_bound,d_bound,combined\n")
@@ -230,7 +222,6 @@ def build_parser():
     s.add_argument("--from", dest="n_from", type=int, required=True)
     s.add_argument("--to", dest="n_to", type=int, required=True)
     s.add_argument("--csv", action="store_true")
-    s.add_argument("--mirror", action="store_true")
     s.set_defaults(func=_cmd_profile)
 
     s = subs.add_parser("audit", help="exact replay of the cobordism "

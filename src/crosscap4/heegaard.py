@@ -32,16 +32,6 @@ def t0(p, q):
     return n + floor_sum(n, q, p, (g - 1) % p)
 
 
-def d_minus1_alternating(sigma):
-    """d of -1-surgery on an alternating knot with the given signature.
-
-    Equals max(0, 2*ceil(sigma/4)); the signature must be even.
-    """
-    if sigma % 2:
-        raise InputError("knot signatures are even, got %d" % sigma)
-    return max(0, 2 * (-((-sigma) // 4)))
-
-
 def d_b_circle_bundle(g, n):
     """Bottom correction term of the Euler-number -n circle bundle over a
     genus-g surface: 1/4 - g^2/n - n/4, valid only for n > 2g."""

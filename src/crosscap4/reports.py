@@ -2,6 +2,7 @@
 
 from typing import NamedTuple, Optional
 
+from . import pinch
 from .bounds import invariants
 from .errors import ConsistencyError, InputError
 from .pinch import GAMMA3, GAMMA4, TAIL, landing, pinch_runs, run_columns
@@ -40,12 +41,11 @@ _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
 # JSON text of a report, laid out as json.dumps(indent=2) lays out the
 # scalar fields followed by "pinch_trace", a list of [p, q] pairs: the
 # scalar fields in one template, filled from _cells with null for an
-# absent gamma3_upper, then the trace pairs, TRACE_BATCH pairs per string
-# so that no string holds a long trace.
+# absent gamma3_upper, then the trace pairs, pinch.STEP_BATCH pairs per
+# string so that no string holds a long trace.
 _JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
     '  "%s": %%s' % name for name in BoundReport._fields[:-1])
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
-TRACE_BATCH = 4096
 
 # The head, pair and closing templates of a report at the top level and
 # nested one level in a list: no value holds a newline, so indenting every
@@ -100,14 +100,14 @@ def family_table(k_max):
 
 def trace_parts(r, sep, pair_format):
     """The pinch trace of report r as the text sep.join(pair_format % pair
-    for each pair), made in parts of at most TRACE_BATCH pairs each.  The
-    trace is the start of each GAMMA4 step, then the pair the walk lands
-    on; it is (r.p, r.q) alone when the walk takes no step."""
+    for each pair), made in parts of at most pinch.STEP_BATCH pairs each.
+    The trace is the start of each GAMMA4 step, then the pair the walk
+    lands on; it is (r.p, r.q) alone when the walk takes no step."""
     lead = ""
     for run in r.pinch_runs:
         n = run[5]
-        for lo in range(0, n, TRACE_BATCH):
-            ps, qs = run_columns(run, lo, min(n, lo + TRACE_BATCH))[:2]
+        for lo in range(0, n, pinch.STEP_BATCH):
+            ps, qs = run_columns(run, lo, min(n, lo + pinch.STEP_BATCH))[:2]
             yield lead + sep.join(map(pair_format.__mod__, zip(ps, qs)))
             lead = sep
     last = landing(r.pinch_runs[-1]) if r.pinch_runs else (r.p, r.q)

@@ -41,7 +41,7 @@ class TorusKnotClass(NamedTuple):
 UNKNOT = TorusKnotClass(1, 0, Hand.RIGHT)
 
 
-def canonicalize(a, b, hand=Hand.RIGHT):
+def canonicalize(a, b):
     """Normalize a primitive class (a, b) on the torus to canonical form.
 
     (a,b) ~ (-a,-b) is an orientation reversal (same knot, same hand);
@@ -54,22 +54,13 @@ def canonicalize(a, b, hand=Hand.RIGHT):
         raise InputError("class (0, 0) is not a knot")
     if math.gcd(a, b) != 1:
         raise InputError("(%d, %d) are not coprime" % (a, b))
-    if (a < 0) != (b < 0):
-        hand = Hand.LEFT if hand is Hand.RIGHT else Hand.RIGHT
+    hand = Hand.LEFT if (a < 0) != (b < 0) else Hand.RIGHT
     a, b = abs(a), abs(b)
     if b > a:
         a, b = b, a
     if min(a, b) <= 1:
         return UNKNOT
     return TorusKnotClass(a, b, hand)
-
-
-def mirror(K):
-    """Reflect the knot; the unknot is its own mirror."""
-    if K.is_unknot:
-        return K
-    flipped = Hand.LEFT if K.hand is Hand.RIGHT else Hand.RIGHT
-    return TorusKnotClass(K.p, K.q, flipped)
 
 
 def check_pair(name, p, q):
@@ -199,25 +190,6 @@ def alexander(p, q):
             terms[e] = terms.get(e, 0) + 1
             terms[e + 1] = terms.get(e + 1, 0) - 1
     return {e: c for e, c in terms.items() if c}
-
-
-def alexander_family(k):
-    """Closed form of the Alexander polynomial of T(2k, 2k-1), k >= 2.
-
-    The constant term is 1; each block j = 1..k-1 contributes the four
-    symmetric monomials at exponents +-j(2k-1) and -+(j(2k-1)-(k-j)).
-    Must agree with alexander(2k, 2k-1) exactly.
-    """
-    if k < 2:
-        raise InputError("family formula needs k >= 2, got %d" % k)
-    terms = {0: 1}
-    for j in range(1, k):
-        top = j * (2 * k - 1)
-        terms[top] = 1
-        terms[top - (k - j)] = -1
-        terms[-top] = 1
-        terms[-top + (k - j)] = -1
-    return terms
 
 
 def alexander_t0(delta):

@@ -8,6 +8,11 @@ step_walk checks the pinch runs by making the walk one step at a time, and
 trace_pairs and report_dict build from it the pinch trace and the JSON
 object that the report emitters print.  dinv_numbers reads back the four
 d-invariants that `dinv` prints.
+
+mirror reflects a knot class, alexander_family is the closed form of the
+Alexander polynomial of T(2k, 2k-1), and d_minus1_alternating gives d of
+-1-surgery on an alternating knot from its signature.  No command needs
+them, so they live here rather than in the package.
 """
 
 import contextlib
@@ -16,10 +21,48 @@ import math
 import re
 
 from crosscap4.cli import main
-from crosscap4.errors import ConsistencyError
+from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.pinch import GAMMA4, pinch_step
 from crosscap4.reports import BoundReport
-from crosscap4.torus import Hand, alexander, alexander_t0, sigma_lattice
+from crosscap4.torus import (Hand, TorusKnotClass, alexander, alexander_t0,
+                             sigma_lattice)
+
+
+def mirror(K):
+    """Reflect the knot; the unknot is its own mirror."""
+    if K.is_unknot:
+        return K
+    flipped = Hand.LEFT if K.hand is Hand.RIGHT else Hand.RIGHT
+    return TorusKnotClass(K.p, K.q, flipped)
+
+
+def alexander_family(k):
+    """Closed form of the Alexander polynomial of T(2k, 2k-1), k >= 2.
+
+    The constant term is 1; each block j = 1..k-1 contributes the four
+    symmetric monomials at exponents +-j(2k-1) and -+(j(2k-1)-(k-j)).
+    Must agree with alexander(2k, 2k-1) exactly.
+    """
+    if k < 2:
+        raise InputError("family formula needs k >= 2, got %d" % k)
+    terms = {0: 1}
+    for j in range(1, k):
+        top = j * (2 * k - 1)
+        terms[top] = 1
+        terms[top - (k - j)] = -1
+        terms[-top] = 1
+        terms[-top + (k - j)] = -1
+    return terms
+
+
+def d_minus1_alternating(sigma):
+    """d of -1-surgery on an alternating knot with the given signature.
+
+    Equals max(0, 2*ceil(sigma/4)); the signature must be even.
+    """
+    if sigma % 2:
+        raise InputError("knot signatures are even, got %d" % sigma)
+    return max(0, 2 * (-((-sigma) // 4)))
 
 
 def oracle_invariants(p, q):

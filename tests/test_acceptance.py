@@ -12,12 +12,12 @@ import pytest
 from crosscap4.bounds import invariants, obstruction_audit
 from crosscap4.cli import main
 from crosscap4.errors import InputError
-from crosscap4.heegaard import d_b_circle_bundle, d_minus1_alternating, t0
+from crosscap4.heegaard import d_b_circle_bundle, t0
 from crosscap4.pinch import GAMMA3, GAMMA4, pinch_runs, run_columns
 from crosscap4.reports import family_table, json_parts, report
-from crosscap4.torus import (alexander, alexander_family, canonicalize,
-                             sigma_lattice, sigma_rec)
-from oracles import minmax_over_framings
+from crosscap4.torus import alexander, canonicalize, sigma_lattice, sigma_rec
+from oracles import (alexander_family, d_minus1_alternating,
+                     minmax_over_framings)
 
 
 def coprime_pairs(limit):

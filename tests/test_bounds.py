@@ -9,10 +9,9 @@ from crosscap4 import bounds
 from crosscap4.bounds import framed_profile, invariants, obstruction_audit
 from crosscap4.errors import InputError
 from crosscap4.reports import report
-from crosscap4.torus import (Hand, TorusKnotClass, canonicalize, mirror,
-                             sigma_rec)
+from crosscap4.torus import Hand, TorusKnotClass, canonicalize, sigma_rec
 from oracles import (dinv_numbers, hand_invariants, minmax_over_framings,
-                     oracle_invariants)
+                     mirror, oracle_invariants)
 
 
 def gamma4_lower(K):

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 import crosscap4
 from crosscap4 import cli, heegaard, pinch, reports, torus
 from crosscap4.bounds import PROFILE_MAX_ROWS
-from crosscap4.cli import MAX_DIGITS, PINCH_BATCH, SCAN_MAX, main
+from crosscap4.cli import MAX_DIGITS, SCAN_MAX, main
 from crosscap4.errors import ConsistencyError, InputError
-from crosscap4.pinch import PINCH_MAX_P
+from crosscap4.pinch import PINCH_MAX_P, STEP_BATCH
 from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
 from crosscap4.torus import canonicalize
 from oracles import report_dict, step_walk, trace_pairs
@@ -49,7 +49,7 @@ def test_report_json(capsys):
 def test_report_json_streams_a_long_trace(capsys):
     r = reports.report(20001, 20000)
     pairs = trace_pairs(canonicalize(20001, 20000))
-    assert len(pairs) > reports.TRACE_BATCH
+    assert len(pairs) > STEP_BATCH
     code, out, err = run(capsys, "report", "20001", "20000", "--json")
     assert (code, err) == (0, "")
     assert out == json.dumps(report_dict(r, pairs), indent=2) + "\n"
@@ -209,23 +209,24 @@ def oracle_lines(p, q, mode):
 
 
 @pytest.mark.parametrize("argv, mode", [
-    (("20001", "20000"), pinch.GAMMA4),  # one run of 10,000 > PINCH_BATCH
+    (("20001", "20000"), pinch.GAMMA4),  # one run of 10,000 > STEP_BATCH
     (("2998", "3", "--gamma3"), pinch.GAMMA3),  # a 500-step tail
     (("621645", "414437"), pinch.GAMMA4),  # two runs, the second mirrored
 ])
 def test_pinch_output_equals_step_walk(capsys, argv, mode):
-    assert PINCH_BATCH < 10000  # the first case spans several batches
+    assert STEP_BATCH < 10000  # the first case spans several batches
     code, out, err = run(capsys, "pinch", *argv)
     assert (code, err) == (0, "")
     assert out == oracle_lines(int(argv[0]), int(argv[1]), mode)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, PINCH_BATCH])
+@pytest.mark.parametrize("batch", [1, 2, 3, STEP_BATCH])
 def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
     # A POSITIVE batch formats its start pairs and one pair past its end;
-    # small batches put a boundary after every step of short walks.  One
+    # small batches put a boundary after every step of short walks.  The
+    # report trace reads the same batch size, so it is cut there too.  One
     # parser serves every case: building it would take most of the time.
-    monkeypatch.setattr(cli, "PINCH_BATCH", batch)
+    monkeypatch.setattr(pinch, "STEP_BATCH", batch)
     parser = cli.build_parser()
     cases = [(p, q, mode) for p in range(2, 100) for q in range(1, p)
              if math.gcd(p, q) == 1
@@ -240,6 +241,13 @@ def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
         args, out = parser.parse_args(argv), io.StringIO()
         assert args.func(args, out) == 0
         assert out.getvalue() == oracle_lines(p, q, mode), argv
+        if mode == pinch.GAMMA4:
+            r = reports.report(p, q)
+            parts = list(reports.trace_parts(r, " -> ", "(%d,%d)"))
+            assert len(parts) == 1 + sum(-(-n // batch)
+                                         for *_, n in r.pinch_runs)
+            assert "".join(parts) == " -> ".join(
+                map("(%d,%d)".__mod__, trace_pairs(canonicalize(p, q))))
 
 
 def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
@@ -358,7 +366,7 @@ def test_dinv_computes_t0_once(capsys, monkeypatch):
 
 
 def test_profile_csv(capsys):
-    code, out, _ = run(capsys, "profile", "4", "3", "--mirror",
+    code, out, _ = run(capsys, "profile", "-4", "3",
                        "--from", "3", "--to", "5", "--csv")
     assert code == 0
     lines = out.strip().split("\n")

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from crosscap4.errors import InputError
-from crosscap4.heegaard import d_b_circle_bundle, d_minus1_alternating, t0
+from crosscap4.heegaard import d_b_circle_bundle, t0
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
-                             alexander_t0, mirror, sigma_rec)
-from oracles import dinv_numbers
+                             alexander_t0, sigma_rec)
+from oracles import d_minus1_alternating, dinv_numbers, mirror
 
 
 def d_pm1(K):

@@ -62,7 +62,7 @@ def test_step_fields_property(p, data):
         assert 0 <= t < p and 0 <= h < q
     r, s = p - 2 * t, q - 2 * h
     to = canonicalize(r, s)
-    assert canonicalize(to.p, to.q, to.hand) == to
+    assert canonicalize(-to.p if to.hand is Hand.LEFT else to.p, to.q) == to
     if not to.is_unknot:
         assert (to.hand is Hand.LEFT) == (r * s < 0)
 

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from crosscap4 import bounds, heegaard, pinch, reports, torus
 from crosscap4.bounds import invariants
 from crosscap4.errors import InputError
-from crosscap4.pinch import MIRRORED, POSITIVE
-from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON,
-                               TRACE_BATCH, TSV, BoundReport, family_table,
-                               json_parts, report, trace_parts, write_rows)
+from crosscap4.pinch import MIRRORED, POSITIVE, STEP_BATCH
+from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON, TSV,
+                               BoundReport, family_table, json_parts, report,
+                               trace_parts, write_rows)
 from crosscap4.torus import canonicalize
 from oracles import report_dict, trace_pairs
 
@@ -258,14 +258,14 @@ def expanded(r):
 @st.composite
 def synthetic_reports(draw):
     """BoundReports with arbitrary field values and up to two runs of
-    arbitrary pairs and displacements, each of a few or TRACE_BATCH + 1
+    arbitrary pairs and displacements, each of a few or STEP_BATCH + 1
     steps, so the trace can hold 1 pair, a few, or more than one batch."""
     names = BoundReport._fields
     values = {n: draw(big_ints) for n in names[:9]}
     runs = draw(st.lists(st.tuples(
         big_ints, big_ints, big_ints, big_ints,
         st.sampled_from([POSITIVE, MIRRORED]),
-        st.integers(1, 3) | st.just(TRACE_BATCH + 1)), max_size=2))
+        st.integers(1, 3) | st.just(STEP_BATCH + 1)), max_size=2))
     return BoundReport(
         **values, exact=draw(st.booleans()),
         gamma3_upper=draw(st.none() | big_ints), pinch_runs=tuple(runs))
@@ -281,7 +281,7 @@ def filled(runs, exact, gamma3_upper, value):
 @example(filled((), True, None, -1))
 @example(filled(((2 ** 64 + 1, -(2 ** 65), 1, -1, POSITIVE, 1),), False,
                 2 ** 64, 2 ** 64 + 1))
-@example(filled(((5, 4, 1, 1, POSITIVE, 2 * TRACE_BATCH),
+@example(filled(((5, 4, 1, 1, POSITIVE, 2 * STEP_BATCH),
                  (3, 2, 1, 1, MIRRORED, 1)), True, 7, -3))
 def test_emit_json_matches_stdlib_on_synthetic_reports(r):
     check_same_text(emit_json(r),
@@ -307,22 +307,23 @@ def family_report(steps):
 
 
 def test_json_parts_hold_at_most_one_batch():
-    r = family_report(3 * TRACE_BATCH + 5)
+    r = family_report(3 * STEP_BATCH + 5)
     parts = list(json_parts(r))
     # the head, four batches of starts, the landing, the closing brackets
     assert len(parts) == 2 + 4 + 1
     pair_text = len(reports._JSON_PAIR % (r.p, r.q)) + 1
-    assert max(map(len, parts)) <= TRACE_BATCH * pair_text
+    assert max(map(len, parts)) <= STEP_BATCH * pair_text
     check_same_text("".join(parts), json.dumps(oracle_dict(r), indent=2))
 
 
-@pytest.mark.parametrize("steps", [0, 1, 2, TRACE_BATCH - 1, TRACE_BATCH,
-                                   TRACE_BATCH + 1, 2 * TRACE_BATCH + 3])
+@pytest.mark.parametrize("steps", [0, 1, 2, 16 * STEP_BATCH - 1,
+                                   16 * STEP_BATCH, 16 * STEP_BATCH + 1,
+                                   32 * STEP_BATCH + 3])
 def test_batched_join_equals_whole_join(steps):
-    # run lengths on each side of every batch boundary
+    # run lengths on each side of a batch boundary, 16 and 32 batches in
     r = family_report(steps)
     parts = list(trace_parts(r, " -> ", "(%d,%d)"))
-    assert len(parts) == -(-steps // TRACE_BATCH) + 1
+    assert len(parts) == -(-steps // STEP_BATCH) + 1
     pairs = trace_pairs(canonicalize(r.p, r.q))
     assert len(pairs) == steps + 1
     check_same_text("".join(parts),

@@ -11,8 +11,9 @@ from crosscap4.bounds import invariants
 from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.heegaard import t0
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
-                             alexander_family, alexander_t0, alexander_text,
-                             canonicalize, mirror, sigma_lattice, sigma_rec)
+                             alexander_t0, alexander_text, canonicalize,
+                             sigma_lattice, sigma_rec)
+from oracles import alexander_family, mirror
 
 
 def coprime_pairs(limit, q_min=2):
