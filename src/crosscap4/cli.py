@@ -88,14 +88,16 @@ def _cmd_scan(args, out):
 
 def _cmd_pinch(args, out):
     K = canonicalize(args.p, args.q)
-    mode = pinch.GAMMA3 if args.gamma3 else pinch.GAMMA4
+    if args.gamma3 and (K.p * K.q) % 2:
+        raise InputError("in-S^3 continuation needs p*q even, got %s" % (K,))
     line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n".__mod__
     pair = "%d,%d".__mod__
-    for run in pinch.pinch_runs(K, mode):
+    runs = []
+    for run in pinch.pinch_runs(K):
+        runs.append(run)
         _, _, a, b, kind, n = run
-        # In a POSITIVE run (t, h) = (a, b), so the raw landing of step i is
-        # the start of step i + 1: each line joins two pair strings, and each
-        # pair is formatted once.
+        # In a POSITIVE run (t, h) = (a, b): the raw landing of step i starts
+        # step i + 1, so each line joins two pair strings formatted once.
         mid = ") --t=%d,h=%d--> (" % (a, b)
         for lo in range(0, n, pinch.STEP_BATCH):
             hi = min(n, lo + pinch.STEP_BATCH)
@@ -107,6 +109,10 @@ def _cmd_pinch(args, out):
             else:
                 out.write("".join(
                     map(line, zip(*pinch.run_columns(run, lo, hi)))))
+    ms = pinch.tail(*pinch.walk_end(K, runs)) if args.gamma3 else ()
+    for lo in range(0, len(ms), pinch.STEP_BATCH):
+        out.write("".join(line((m, 1, m - 1, 0, 2 - m, 1))
+                          for m in ms[lo:lo + pinch.STEP_BATCH]))
     return 0
 
 

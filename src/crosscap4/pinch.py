@@ -15,14 +15,14 @@ with q >= 2.  When a run's first pinch lands on the positive quadrant
 when it lands on the negative one (MIRRORED), (t, h) = (p_i - a, q_i - b)
 does.  So while p_i > a, q_i > b and p_i > q_i, those are exactly the
 inverses a step computes.  The second condition implies the other two,
-so a run's length is one floor division.  The GAMMA3 continuation
-through T(m,1) is one TAIL run (t = p_i - 1, h = 0, a, b = 1, 0) of m/2
-steps.
+so a run's length is one floor division.  When pq is even the walk ends
+on (m, 1) with m even or on (1, 0), since a pinch keeps each coordinate's
+parity; tail gives the in-S^3 continuation from there in closed form.
 
 pinch_runs yields the runs, with two modular inverses per run;
-reports.report sums their lengths into both upper bounds, and run_columns
-expands a run into its steps as ranges, so no caller makes a Python
-object per step.
+reports.report sums their lengths, and the tail's, into the upper bounds,
+and run_columns expands a run into its steps as ranges, so no caller
+makes a Python object per step.
 """
 
 import math
@@ -30,13 +30,9 @@ from itertools import repeat
 
 from .errors import ConsistencyError, InputError
 
-GAMMA4 = "gamma4"
-GAMMA3 = "gamma3"
-
 # Run kinds: how a run's inverses (t, h) follow its pairs.
 POSITIVE = "positive"  # t, h = a, b
 MIRRORED = "mirrored"  # t, h = p_i - a, q_i - b
-TAIL = "tail"  # (m, 1) -> (m-2, 1): t, h = p_i - 1, 0 with a, b = 1, 0
 
 # A walk from T(p, q) takes fewer than p steps, in few runs; `pinch
 # 1000000 999999` (500,000 steps in one run, streamed) takes 0.3-0.5 s
@@ -56,53 +52,39 @@ def pinch_step(p, q):
     return t, h
 
 
-def pinch_runs(K, mode=GAMMA4):
-    """Yield the pinch walk from K to the mode's terminal form as runs
+def pinch_runs(K):
+    """Yield the pinch walk from K to the first unknot (q <= 1) as runs
     (p, q, a, b, kind, n): step i < n of a run starts at (p - 2ia, q - 2ib).
 
-    GAMMA4 stops at the first unknot (q <= 1); GAMMA3 (pq even only) keeps
-    pinching through T(n,1) forms until a coordinate is 0, so the GAMMA4
-    walk is the GAMMA3 walk less its TAIL run.  The arguments are checked
-    at the call, not at the first run: raises InputError for GAMMA3 with pq
-    odd and when K.p exceeds PINCH_MAX_P.  Each run is checked before it
-    is yielded, and the checks cover every one of its steps: the inverses
-    at its start, its domain at its first and last pair (each condition is
-    linear in i), primitivity and strict decrease of its last landing, and
-    a cap of K.p steps in all.
+    Raises InputError at the call, not at the first run, when K.p exceeds
+    PINCH_MAX_P.  Each run is checked before it is yielded, and the checks
+    cover every one of its steps: the inverses at its start, its domain at
+    its first and last pair (each condition is linear in i), primitivity
+    and strict decrease of its last landing, and a cap of K.p steps in all.
     """
-    if mode not in (GAMMA4, GAMMA3):
-        raise ValueError("unknown mode %r" % (mode,))
-    if mode == GAMMA3 and (K.p * K.q) % 2 == 1:
-        raise InputError("in-S^3 continuation needs p*q even, got %s" % (K,))
     if K.p > PINCH_MAX_P:
         raise InputError("pinch accepts p <= %d, got %d"
                          % (PINCH_MAX_P, K.p))
-    return _runs(K, 1 if mode == GAMMA4 else 0)
+    return _runs(K)
 
 
-def _runs(K, q_stop):
+def _runs(K):
     p, q = K.p, K.q
     total = 0
     # Parity needs no check: every displacement 2a, 2b is even.
-    while q > q_stop:  # pairs stay descending, so q is the smaller one
-        if q == 1:  # the run ends at (2, 1), landing on (0, 1)
-            if p % 2:
-                raise ConsistencyError("pinch tail from (%d, 1) has odd "
-                                       "length" % p)
-            a, b, kind, n = 1, 0, TAIL, p // 2
+    while q > 1:  # pairs stay descending, so q is the smaller one
+        t, h = pinch_step(p, q)
+        if p * h - q * t != 1 or not (0 < t < p and 0 < h < q):
+            raise ConsistencyError(
+                "pinch inverses t=%d, h=%d fail p*h - q*t = 1 at "
+                "(%d, %d)" % (t, h, p, q))
+        if p - 2 * t > 0:
+            a, b, kind = t, h, POSITIVE
         else:
-            t, h = pinch_step(p, q)
-            if p * h - q * t != 1 or not (0 < t < p and 0 < h < q):
-                raise ConsistencyError(
-                    "pinch inverses t=%d, h=%d fail p*h - q*t = 1 at "
-                    "(%d, %d)" % (t, h, p, q))
-            if p - 2 * t > 0:
-                a, b, kind = t, h, POSITIVE
-            else:
-                a, b, kind = p - t, q - h, MIRRORED
-            # The steps with q_i > b.  With p_i*b - q_i*a = +-1 and a >= b
-            # (both kinds), that gives p_i > a and p_i > q_i.
-            n = -((b - q) // (2 * b))
+            a, b, kind = p - t, q - h, MIRRORED
+        # The steps with q_i > b.  With p_i*b - q_i*a = +-1 and a >= b
+        # (both kinds), that gives p_i > a and p_i > q_i.
+        n = -((b - q) // (2 * b))
         pl, ql = p - 2 * (n - 1) * a, q - 2 * (n - 1) * b
         if not (n >= 1 and p > a and q > b and p > q
                 and pl > a and ql > b and pl > ql):
@@ -129,11 +111,22 @@ def landing(run):
     return (r, s) if r >= s else (s, r)
 
 
+def walk_end(K, runs):
+    """Where the walk of runs from K ends: K itself if it takes no step."""
+    return landing(runs[-1]) if runs else (K.p, K.q)
+
+
+def tail(r, s):
+    """The in-S^3 continuation from the end (r, s) of a walk with pq even:
+    the m of each step (m, 1) -> (m - 2, 1), t, h = m - 1, 0, to (0, 1)."""
+    if s == 1 and r % 2:
+        raise ConsistencyError("pinch tail from (%d, 1) has odd length" % r)
+    return range(r, 0, -2) if s == 1 else range(0)
+
+
 def _column(x, d, k, mirrored):
     """Coordinate x of k steps of displacement d: the pairs' x, its inverse
     (t or h) and the raw landing's x."""
-    if d == 0:  # the TAIL's q: constant 1, h = 0
-        return repeat(x, k), repeat(0, k), repeat(x, k)
     xs = range(x, x - 2 * k * d, -2 * d)
     if mirrored:
         return (xs, range(x - d, x - d - 2 * k * d, -2 * d),
@@ -157,6 +150,6 @@ def run_columns(run, lo=0, hi=None):
     run's length: the columns go on at its displacement."""
     p, q, a, b, kind, n = run
     hi = n if hi is None else hi
-    ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind != POSITIVE)
+    ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind == MIRRORED)
     qs, hs, ss = _column(q - 2 * lo * b, b, hi - lo, kind == MIRRORED)
     return ps, qs, ts, hs, rs, ss

@@ -5,7 +5,7 @@ from typing import NamedTuple, Optional
 from . import pinch
 from .bounds import invariants
 from .errors import ConsistencyError, InputError
-from .pinch import GAMMA3, GAMMA4, TAIL, landing, pinch_runs, run_columns
+from .pinch import pinch_runs, run_columns, tail, walk_end
 from .torus import canonicalize
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
@@ -30,7 +30,7 @@ class BoundReport(NamedTuple):
     gamma4_upper: int
     exact: bool
     gamma3_upper: Optional[int]
-    pinch_runs: tuple  # the GAMMA4 walk's runs (p, q, a, b, kind, n)
+    pinch_runs: tuple  # the walk's runs (p, q, a, b, kind, n)
 
 
 # CSV columns are the report fields less the runs: the nine int fields,
@@ -62,31 +62,29 @@ def report(p, q):
     upper bound (trace_parts prints them as the pinch trace).  The input
     pair is canonicalized first.  Both chiralities and the lower bound come
     from one call of bounds.invariants, both upper bounds and the runs from
-    one pinch walk.  Signs are canonicalized away, so report(-3, 2) ==
-    report(3, 2).  A zero coordinate raises InputError here, and a
-    non-coprime pair raises it in canonicalize."""
+    one pinch walk and its tail.  Signs are canonicalized away, so
+    report(-3, 2) == report(3, 2).  A zero coordinate raises InputError
+    here, and a non-coprime pair raises it in canonicalize."""
     if p == 0 or q == 0:
         raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
     K = canonicalize(p, q)
     inv = invariants(K.p, K.q)
     lower = inv[5]
 
-    # One walk serves both upper bounds and the runs: when pq is even it is
-    # the GAMMA3 walk, whose runs less its TAIL are the GAMMA4 walk.
-    even = (K.p * K.q) % 2 == 0
-    runs, n3, n4 = [], 0, 0
-    for run in pinch_runs(K, GAMMA3 if even else GAMMA4):
-        n3 += run[5]
-        if run[4] != TAIL:
-            runs.append(run)
-            n4 += run[5]
-    upper = max(1, n4)
+    # One walk serves both upper bounds and the runs, gamma3 with its tail.
+    runs, steps = [], 0
+    for run in pinch_runs(K):
+        runs.append(run)
+        steps += run[5]
+    upper = max(1, steps)
     if lower > upper:
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
                                % (lower, upper, K))
+    gamma3 = (max(1, steps + len(tail(*walk_end(K, runs))))
+              if (K.p * K.q) % 2 == 0 else None)
 
-    return BoundReport(K.p, K.q, *inv, upper, lower == upper,
-                       max(1, n3) if even else None, tuple(runs))
+    return BoundReport(K.p, K.q, *inv, upper, lower == upper, gamma3,
+                       tuple(runs))
 
 
 def family_table(k_max):
@@ -101,8 +99,8 @@ def family_table(k_max):
 def trace_parts(r, sep, pair_format):
     """The pinch trace of report r as the text sep.join(pair_format % pair
     for each pair), made in parts of at most pinch.STEP_BATCH pairs each.
-    The trace is the start of each GAMMA4 step, then the pair the walk
-    lands on; it is (r.p, r.q) alone when the walk takes no step."""
+    The trace is the start of each step of the walk, then the pair it ends
+    on; it is (r.p, r.q) alone when the walk takes no step."""
     lead = ""
     for run in r.pinch_runs:
         n = run[5]
@@ -110,8 +108,7 @@ def trace_parts(r, sep, pair_format):
             ps, qs = run_columns(run, lo, min(n, lo + pinch.STEP_BATCH))[:2]
             yield lead + sep.join(map(pair_format.__mod__, zip(ps, qs)))
             lead = sep
-    last = landing(r.pinch_runs[-1]) if r.pinch_runs else (r.p, r.q)
-    yield lead + pair_format % last
+    yield lead + pair_format % walk_end(r, r.pinch_runs)
 
 
 def _cells(r, null):

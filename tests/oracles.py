@@ -4,10 +4,12 @@ oracle_invariants derives both hands' signature and d(-1-surgery) from
 the engines that bounds.invariants does not use, and minmax_over_framings
 checks the closed-form lower bound gamma4_lower by minimizing the
 per-framing obstruction over a whole window of framings;
-step_walk checks the pinch runs by making the walk one step at a time, and
-trace_pairs and report_dict build from it the pinch trace and the JSON
-object that the report emitters print.  dinv_numbers reads back the four
-d-invariants that `dinv` prints.
+step_walk checks the pinch runs and their tail by making the walk one
+step at a time, with its own inverses, and trace_pairs and report_dict
+build from it the pinch trace and the JSON object that the report emitters
+print.  t0_lens derives t0 from the d-invariant of a lens space surgery,
+in O(log pq) steps, sharing no code with heegaard.t0.  dinv_numbers reads
+back the four d-invariants that `dinv` prints.
 
 mirror reflects a knot class, alexander_family is the closed form of the
 Alexander polynomial of T(2k, 2k-1), and d_minus1_alternating gives d of
@@ -19,10 +21,10 @@ import contextlib
 import io
 import math
 import re
+from fractions import Fraction
 
 from crosscap4.cli import main
 from crosscap4.errors import ConsistencyError, InputError
-from crosscap4.pinch import GAMMA4, pinch_step
 from crosscap4.reports import BoundReport
 from crosscap4.torus import (Hand, TorusKnotClass, alexander, alexander_t0,
                              sigma_lattice)
@@ -106,19 +108,35 @@ def minmax_over_framings(K, n_lo, n_hi):
     return best
 
 
-def step_walk(K, mode=GAMMA4):
-    """The pinch walk made one pinch_step at a time, with primitivity and
-    strict decrease checked at every step and a cap of K.p steps: the
-    oracle for pinch_runs.  Yields each step's (p, q, t, h, r, s), as
+def inverses(p, q):
+    """The inverses (t, h) of a pinch on T(p,q), p > q >= 1 coprime, by
+    extended Euclid: h = p^{-1} mod q and t = (p*h - 1) / q, so that
+    p*h - q*t = 1; t, h = p - 1, 0 when q = 1."""
+    if q == 1:
+        return p - 1, 0
+    r0, r1, x0, x1 = p, q, 1, 0  # r_i = x_i * p mod q
+    while r1:
+        k = r0 // r1
+        r0, r1, x0, x1 = r1, r0 - k * r1, x1, x0 - k * x1
+    h = x0 % q
+    t = (p * h - 1) // q
+    assert r0 == 1 and p * h - q * t == 1, (p, q)
+    return t, h
+
+
+def step_walk(K, gamma3=False):
+    """The pinch walk made one pinch at a time, with primitivity and strict
+    decrease checked at every step and a cap of K.p steps: the oracle for
+    pinch_runs, and with gamma3 for the walk and its tail through T(m,1)
+    down to a zero coordinate.  Yields each step's (p, q, t, h, r, s), as
     zip(*run_columns(run)) does, with (r, s) = (p - 2t, q - 2h)."""
-    q_stop = 1 if mode == GAMMA4 else 0
     p, q = K.p, K.q
     n = 0
-    while q > q_stop:  # pairs stay descending, so q is the smaller one
+    while q > (0 if gamma3 else 1):  # pairs stay descending, q <= p
         if n >= K.p:
             raise ConsistencyError(
                 "pinch sequence from %s exceeded %d steps" % (K, K.p))
-        t, h = pinch_step(p, q)
+        t, h = inverses(p, q)
         r, s = p - 2 * t, q - 2 * h
         if math.gcd(abs(r), abs(s)) != 1:
             raise ConsistencyError("pinch left a non-primitive class")
@@ -134,14 +152,38 @@ def step_walk(K, mode=GAMMA4):
 
 
 def trace_pairs(K):
-    """The pinch trace of K from step_walk: the start of each GAMMA4 step,
-    then the pair the last step lands on, canonical; K's own pair alone
-    when the walk takes no step."""
-    steps = list(step_walk(K, GAMMA4))
+    """The pinch trace of K from step_walk: the start of each step, then
+    the pair the last step lands on, canonical; K's own pair alone when
+    the walk takes no step."""
+    steps = list(step_walk(K))
     if not steps:
         return [(K.p, K.q)]
     r, s = map(abs, steps[-1][4:])
     return [step[:2] for step in steps] + [(max(r, s), min(r, s))]
+
+
+def d_lens(p, q, i):
+    """The correction term d(L(p,q), i), p > q >= 1 coprime or p = 1, by
+    the Ozsvath-Szabo recursion
+        d(L(p,q), i) = -1/4 + (2i + 1 - p - q)^2 / (4pq) - d(L(q,r), j)
+    with r = p mod q, j = i mod q and d(L(1, .)) = 0, as a Fraction."""
+    if p == 1:
+        return Fraction(0)
+    return (Fraction(-1, 4) + Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q)
+            - d_lens(q, p % q, i % q))
+
+
+def t0_lens(p, q):
+    """t0 of T(p,q), p > q >= 2 coprime, from a lens space: pq - 1
+    surgery on T(p,q) is L(n, m) with n = pq - 1 and m = q^2 mod n
+    (Moser), and its d-invariant at the spin^c structure i = (m - 1)/2 for
+    m odd, (m - 1 + n)/2 for m even, is d(L(n,1), 0) - 2 t0 (Ni-Wu), so
+    t0 = ((n - 1)/4 - d(L(n,m), i)) / 2.  The order matters: with p and q
+    swapped the value is another, often not an integer."""
+    n = p * q - 1
+    m = q * q % n
+    i = (m - 1) // 2 if m % 2 else (m - 1 + n) // 2
+    return (Fraction(n - 1, 4) - d_lens(n, m, i)) / 2
 
 
 def report_dict(r, trace):

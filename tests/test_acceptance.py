@@ -7,13 +7,10 @@ assertion is the corresponding fail.
 import math
 from itertools import chain
 
-import pytest
-
 from crosscap4.bounds import invariants, obstruction_audit
 from crosscap4.cli import main
-from crosscap4.errors import InputError
 from crosscap4.heegaard import d_b_circle_bundle, t0
-from crosscap4.pinch import GAMMA3, GAMMA4, pinch_runs, run_columns
+from crosscap4.pinch import pinch_runs, run_columns
 from crosscap4.reports import family_table, json_parts, report
 from crosscap4.torus import alexander, canonicalize, sigma_lattice, sigma_rec
 from oracles import (alexander_family, d_minus1_alternating,
@@ -107,7 +104,7 @@ def test_criterion_09_pinch_invariants():
     for p, q in coprime_pairs(300):
         steps = list(chain.from_iterable(
             zip(*run_columns(run))
-            for run in pinch_runs(canonicalize(p, q), GAMMA4)))
+            for run in pinch_runs(canonicalize(p, q))))
         prev_max = p
         for step in steps:
             fp, fq, _, _, r, s = step
@@ -119,18 +116,20 @@ def test_criterion_09_pinch_invariants():
     for k in range(1, 51):
         assert report(2 * k + 1, 2).gamma4_upper == 1
     for p, q in coprime_pairs(100):
-        steps = sum(run[5] for run in pinch_runs(canonicalize(p, q), GAMMA4))
+        steps = sum(run[5] for run in pinch_runs(canonicalize(p, q)))
         assert max(1, steps) >= invariants(p, q)[5], (p, q)
     ok(9, "pinch parity/primitivity/decrease/termination <= 300; Mobius "
           "bands for T(2k+1,2); upper >= lower <= 100")
 
 
-def test_criterion_10_gamma3_values():
+def test_criterion_10_gamma3_values(capsys):
     assert report(4, 3).gamma3_upper == 2
     for k in range(2, 26):
         assert report(2 * k, 2 * k - 1).gamma3_upper == k
-    with pytest.raises(InputError, match=r"needs p\*q even"):
-        pinch_runs(canonicalize(7, 3), GAMMA3)
+    capsys.readouterr()
+    assert main(["pinch", "7", "3", "--gamma3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: in-S^3 continuation needs p*q even, got T(7,3)\n")
     ok(10, "gamma3(T(4,3)) = 2; gamma3(T(2k,2k-1)) = k for k = 2..25; "
            "parity guard")
 

@@ -203,21 +203,21 @@ def test_pinch_trace(capsys):
 STEP_LINE = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
 
 
-def oracle_lines(p, q, mode):
+def oracle_lines(p, q, gamma3=False):
     return "".join(STEP_LINE % step
-                   for step in step_walk(canonicalize(p, q), mode))
+                   for step in step_walk(canonicalize(p, q), gamma3))
 
 
-@pytest.mark.parametrize("argv, mode", [
-    (("20001", "20000"), pinch.GAMMA4),  # one run of 10,000 > STEP_BATCH
-    (("2998", "3", "--gamma3"), pinch.GAMMA3),  # a 500-step tail
-    (("621645", "414437"), pinch.GAMMA4),  # two runs, the second mirrored
+@pytest.mark.parametrize("argv, bound", [
+    (("20001", "20000"), "gamma4"),  # one run of 10,000 > STEP_BATCH
+    (("2998", "3", "--gamma3"), "gamma3"),  # a 500-step tail
+    (("621645", "414437"), "gamma4"),  # two runs, the second mirrored
 ])
-def test_pinch_output_equals_step_walk(capsys, argv, mode):
+def test_pinch_output_equals_step_walk(capsys, argv, bound):
     assert STEP_BATCH < 10000  # the first case spans several batches
     code, out, err = run(capsys, "pinch", *argv)
     assert (code, err) == (0, "")
-    assert out == oracle_lines(int(argv[0]), int(argv[1]), mode)
+    assert out == oracle_lines(int(argv[0]), int(argv[1]), bound == "gamma3")
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, STEP_BATCH])
@@ -228,20 +228,23 @@ def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
     # parser serves every case: building it would take most of the time.
     monkeypatch.setattr(pinch, "STEP_BATCH", batch)
     parser = cli.build_parser()
-    cases = [(p, q, mode) for p in range(2, 100) for q in range(1, p)
+    cases = [(p, q, gamma3) for p in range(2, 100) for q in range(1, p)
              if math.gcd(p, q) == 1
-             for mode in (pinch.GAMMA4, pinch.GAMMA3)
-             if mode == pinch.GAMMA4 or p * q % 2 == 0]
+             for gamma3 in (False, True)
+             if not gamma3 or p * q % 2 == 0]
     if batch == 3:  # an 11-step POSITIVE run with (a, b) = (29602, 19735)
-        cases.append((621645, 414437, pinch.GAMMA4))
-    for p, q, mode in cases:
+        cases.append((621645, 414437, False))
+    for p, q, gamma3 in cases:
         argv = ["pinch", str(p), str(q)]
-        if mode == pinch.GAMMA3:
+        if gamma3:
             argv.append("--gamma3")
         args, out = parser.parse_args(argv), io.StringIO()
         assert args.func(args, out) == 0
-        assert out.getvalue() == oracle_lines(p, q, mode), argv
-        if mode == pinch.GAMMA4:
+        assert out.getvalue() == oracle_lines(p, q, gamma3), argv
+        if gamma3:
+            assert reports.report(p, q).gamma3_upper == max(
+                1, out.getvalue().count("\n")), argv
+        else:
             r = reports.report(p, q)
             parts = list(reports.trace_parts(r, " -> ", "(%d,%d)"))
             assert len(parts) == 1 + sum(-(-n // batch)
@@ -267,7 +270,7 @@ def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
     assert starts == [(47, 26), (7, 4)]
     assert err == ("internal error: pinch inverses t=6, h=3 fail "
                    "p*h - q*t = 1 at (7, 4)\n")
-    lines = oracle_lines(47, 26, pinch.GAMMA4).splitlines(keepends=True)
+    lines = oracle_lines(47, 26).splitlines(keepends=True)
     assert lines[3].startswith("(7,4) ")
     assert out == "".join(lines[:3])
     assert out.startswith("(47,26) --t=9,h=5--> (29,16)\n")
@@ -280,9 +283,9 @@ def test_pinch_gamma3(capsys):
 
 
 def test_pinch_gamma3_parity_error(capsys):
-    code, _, err = run(capsys, "pinch", "7", "3", "--gamma3")
-    assert code == 2
-    assert err != ""
+    # checked before the walk, so nothing is printed
+    assert run(capsys, "pinch", "7", "3", "--gamma3") == (
+        2, "", "error: in-S^3 continuation needs p*q even, got T(7,3)\n")
 
 
 def test_signature(capsys):

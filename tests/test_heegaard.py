@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from crosscap4.errors import InputError
 from crosscap4.heegaard import d_b_circle_bundle, t0
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
                              alexander_t0, sigma_rec)
-from oracles import d_minus1_alternating, dinv_numbers, mirror
+from oracles import d_minus1_alternating, dinv_numbers, mirror, t0_lens
 
 
 def d_pm1(K):
@@ -49,6 +50,32 @@ def test_t0_floor_sum_matches_alexander_oracle():
 def test_t0_family_at_scale():
     k = 10 ** 9
     assert t0(2 * k, 2 * k - 1) == (k * k - k) // 2
+    assert t0_lens(2 * k, 2 * k - 1) == (k * k - k) // 2
+
+
+def test_t0_matches_lens_space_oracle():
+    for p in range(3, 120):
+        for q in range(2, p):
+            if math.gcd(p, q) == 1:
+                assert t0_lens(p, q) == t0(p, q), (p, q)
+
+
+def test_t0_lens_oracle_argument_order():
+    # The oracle wants p > q; swapped, T(5,3) reads 7/4, not t0 = 2.
+    assert t0_lens(5, 3) == t0(5, 3) == 2
+    assert t0_lens(3, 5) == Fraction(7, 4)
+    wrong = [(p, q) for p in range(3, 40) for q in range(2, p)
+             if math.gcd(p, q) == 1 and t0_lens(q, p) != t0(p, q)]
+    assert len(wrong) == 88
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 10 ** 18), st.data())
+def test_t0_matches_lens_space_oracle_property(p, data):
+    q = data.draw(st.one_of(st.integers(2, p - 1),
+                            st.integers(max(2, p - 20), p - 1)))
+    assume(math.gcd(p, q) == 1)
+    assert t0_lens(p, q) == t0(p, q)
 
 
 def test_d_pm1():

@@ -5,21 +5,39 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from crosscap4.bounds import invariants
-from crosscap4.errors import InputError
-from crosscap4.pinch import (GAMMA3, GAMMA4, MIRRORED, PINCH_MAX_P, POSITIVE,
-                             TAIL, landing, pinch_runs, pinch_step,
-                             run_columns)
+from crosscap4.cli import main
+from crosscap4.errors import ConsistencyError, InputError
+from crosscap4.pinch import (MIRRORED, PINCH_MAX_P, POSITIVE, landing,
+                             pinch_runs, pinch_step, run_columns, tail,
+                             walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
 
+PARITY_ERROR = "error: in-S^3 continuation needs p*q even, got T(7,3)\n"
 
-def run_steps(K, mode):
+
+def run_steps(K):
     """The walk's steps (p, q, t, h, r, s) as `pinch` prints them: each run
-    of pinch_runs expanded by run_columns.  The arguments are checked at
-    the call, as pinch_runs checks them."""
+    of pinch_runs expanded by run_columns.  The argument is checked at the
+    call, as pinch_runs checks it."""
     return chain.from_iterable(zip(*run_columns(run))
-                               for run in pinch_runs(K, mode))
+                               for run in pinch_runs(K))
+
+
+def gamma3_steps(K):
+    """The steps `pinch --gamma3` prints: the walk's, then the tail's from
+    where the walk ends."""
+    runs = list(pinch_runs(K))
+    return (list(chain.from_iterable(zip(*run_columns(run)) for run in runs))
+            + [(m, 1, m - 1, 0, 2 - m, 1) for m in tail(*walk_end(K, runs))])
+
+
+def pinch_7_3_gamma3(capsys):
+    """Exit code, stdout and stderr of `pinch 7 3 --gamma3`."""
+    code = main(["pinch", "7", "3", "--gamma3"])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_step_t43():
@@ -70,30 +88,30 @@ def test_step_fields_property(p, data):
 def test_sequence_declared_domain():
     n = PINCH_MAX_P
     assert math.gcd(n, 3) == math.gcd(n + 1, 3) == 1
-    steps = list(run_steps(canonicalize(n, 3), GAMMA4))  # one step
+    steps = list(run_steps(canonicalize(n, 3)))  # one step
     assert min(map(abs, steps[-1][4:])) <= 1
     over = "pinch accepts p <= %d, got %d" % (n, n + 1)
     with pytest.raises(InputError, match=over):
-        run_steps(canonicalize(n + 1, 3), GAMMA4)  # raised at the call
+        run_steps(canonicalize(n + 1, 3))  # raised at the call
     with pytest.raises(InputError, match=over):
         report(n + 1, 3)
 
 
 def test_sequence_family():
-    steps = list(run_steps(canonicalize(8, 7), GAMMA4))
+    steps = list(run_steps(canonicalize(8, 7)))
     assert len(steps) == 3
     assert [s[:2] for s in steps] == [(8, 7), (6, 5), (4, 3)]
 
 
 def test_sequence_gamma3_t43():
-    steps = list(run_steps(canonicalize(4, 3), GAMMA3))
+    steps = gamma3_steps(canonicalize(4, 3))
     assert len(steps) == 2
     assert [s[:2] for s in steps] == [(4, 3), (2, 1)]
     assert steps[-1][4:] == (0, 1)  # terminal pair (1, 0)
 
 
 def test_sequence_t53_single_pinch():
-    steps = list(run_steps(canonicalize(5, 3), GAMMA4))
+    steps = list(run_steps(canonicalize(5, 3)))
     assert len(steps) == 1
 
 
@@ -111,9 +129,8 @@ def test_gamma3_upper_values():
         assert report(2 * k, 2 * k - 1).gamma3_upper == k
 
 
-def test_gamma3_parity_guard():
-    with pytest.raises(InputError, match=r"needs p\*q even, got T\(7,3\)"):
-        pinch_runs(canonicalize(7, 3), GAMMA3)
+def test_gamma3_parity_guard(capsys):
+    assert pinch_7_3_gamma3(capsys) == (2, "", PARITY_ERROR)
 
 
 def test_step_invariants_sweep():
@@ -121,7 +138,7 @@ def test_step_invariants_sweep():
         for q in range(2, p):
             if math.gcd(p, q) != 1:
                 continue
-            steps = list(run_steps(canonicalize(p, q), GAMMA4))
+            steps = list(run_steps(canonicalize(p, q)))
             prev_max = p
             for step in steps:
                 fp, fq, _, _, r, s = step
@@ -144,16 +161,20 @@ def test_upper_never_below_lower():
 def check_runs_against_oracle(p, q):
     K = canonicalize(p, q)
     r = report(p, q)
-    for mode in (GAMMA4, GAMMA3) if (p * q) % 2 == 0 else (GAMMA4,):
-        runs = list(pinch_runs(K, mode))
-        steps = list(step_walk(K, mode))
-        assert list(run_steps(K, mode)) == steps, (p, q, mode)
-        assert len(runs) <= p.bit_length(), (p, q, mode, len(runs))
-        upper = r.gamma4_upper if mode == GAMMA4 else r.gamma3_upper
-        assert upper == max(1, len(steps)), (p, q, mode)
-        if runs:  # each run starts where the one before it landed
-            assert [run[:2] for run in runs[1:]] == list(map(landing,
-                                                             runs[:-1]))
+    runs = list(pinch_runs(K))
+    steps = list(step_walk(K))
+    assert list(run_steps(K)) == steps, (p, q)
+    assert r.pinch_runs == tuple(runs), (p, q)
+    assert len(runs) <= p.bit_length(), (p, q, len(runs))
+    assert r.gamma4_upper == max(1, len(steps)), (p, q)
+    if runs:  # each run starts where the one before it landed
+        assert [run[:2] for run in runs[1:]] == list(map(landing, runs[:-1]))
+    if (p * q) % 2 == 0:
+        steps3 = list(step_walk(K, gamma3=True))
+        assert gamma3_steps(K) == steps3, (p, q)
+        assert r.gamma3_upper == max(1, len(steps3)), (p, q)
+    else:
+        assert r.gamma3_upper is None
 
 
 def test_runs_equal_step_walk_sweep():
@@ -175,37 +196,38 @@ def test_runs_equal_step_walk_property(p, data):
 
 def test_runs_multi_run_mirrored_walk():
     K = canonicalize(621645, 414437)
-    runs = list(pinch_runs(K, GAMMA4))
+    runs = list(pinch_runs(K))
     assert len(runs) > 1
     assert MIRRORED in [run[4] for run in runs]
     assert sum(run[5] for run in runs) == report(K.p, K.q).gamma4_upper == 4944
-    assert list(run_steps(K, GAMMA4)) == list(step_walk(K, GAMMA4))
+    assert list(run_steps(K)) == list(step_walk(K))
 
 
 def test_runs_gamma3_tail():
     K = canonicalize(2998, 3)
-    runs = list(pinch_runs(K, GAMMA3))
-    assert [run[4] for run in runs] == [POSITIVE, TAIL]
-    assert runs[-1] == (1000, 1, 1, 0, TAIL, 500)
-    steps = list(run_steps(K, GAMMA3))
-    assert steps == list(step_walk(K, GAMMA3))
+    run, = pinch_runs(K)
+    assert run[4] == POSITIVE
+    assert tail(*landing(run)) == range(1000, 0, -2)  # 500 steps
+    steps = gamma3_steps(K)
+    assert steps == list(step_walk(K, gamma3=True))
     assert steps[-2:] == [(4, 1, 3, 0, -2, 1), (2, 1, 1, 0, 0, 1)]
-    assert report(K.p, K.q).gamma3_upper == 501
-    assert list(pinch_runs(K, GAMMA4)) == runs[:-1]  # no tail in GAMMA4
+    r = report(K.p, K.q)
+    assert r.gamma3_upper == 501
+    assert r.pinch_runs == (run,)  # the tail is not a run
 
 
 def test_runs_q2_lands_on_a_zero_coordinate():
-    run, = pinch_runs(canonicalize(7, 2), GAMMA4)
+    run, = pinch_runs(canonicalize(7, 2))
     assert run == (7, 2, 3, 1, POSITIVE, 1)
-    assert list(run_steps(canonicalize(7, 2), GAMMA4)) == [
-        (7, 2, 3, 1, 1, 0)]
+    assert list(run_steps(canonicalize(7, 2))) == [(7, 2, 3, 1, 1, 0)]
     assert landing(run) == (1, 0)
-    assert list(pinch_runs(canonicalize(7, 2), GAMMA3)) == [run]
+    assert tail(*landing(run)) == range(0)  # no continuation from (1, 0)
+    assert report(7, 2).gamma3_upper == 1
 
 
 def test_runs_family_is_one_run():
     K = canonicalize(999998, 999997)
-    run, = pinch_runs(K, GAMMA4)
+    run, = pinch_runs(K)
     assert run == (999998, 999997, 1, 1, POSITIVE, 499998)
     assert landing(run) == (2, 1)
     assert report(K.p, K.q).gamma4_upper == 499998
@@ -223,10 +245,27 @@ def test_runs_columns_slice_a_run():
                                  whole[9999][4:]]
 
 
-def test_runs_checked_at_the_call():
-    with pytest.raises(ValueError, match="unknown mode"):
-        pinch_runs(canonicalize(4, 3), "gamma5")
-    with pytest.raises(InputError, match=r"needs p\*q even"):
-        pinch_runs(canonicalize(7, 3), GAMMA3)
+def test_runs_checked_at_the_call(capsys):
+    assert pinch_7_3_gamma3(capsys) == (2, "", PARITY_ERROR)
     with pytest.raises(InputError, match="pinch accepts p <= "):
-        pinch_runs(canonicalize(PINCH_MAX_P + 1, 3), GAMMA4)
+        pinch_runs(canonicalize(PINCH_MAX_P + 1, 3))
+
+
+def test_tail_of_every_even_walk():
+    # A pinch keeps each coordinate's parity, so a walk with pq even ends
+    # on (m, 1) with m even, or on (1, 0): tail never finds an odd m.
+    for p in range(2, 300):
+        for q in range(1, p):
+            if (p * q) % 2 == 0 and math.gcd(p, q) == 1:
+                K = canonicalize(p, q)
+                end = walk_end(K, list(pinch_runs(K)))
+                assert end == (1, 0) or end[1] == 1 and end[0] % 2 == 0
+                tail(*end)  # raises ConsistencyError on an odd m
+
+
+def test_tail_edges():
+    with pytest.raises(ConsistencyError, match=r"tail from \(3, 1\) has odd"):
+        tail(3, 1)
+    assert tail(1, 0) == range(0)
+    assert tail(2, 1) == range(2, 0, -2)
+    assert report(1, 1).gamma3_upper == 1  # the unknot (1, 0) itself

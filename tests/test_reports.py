@@ -187,7 +187,7 @@ def test_family_table_makes_rows_lazily(monkeypatch):
 def test_report_computes_each_invariant_once(monkeypatch):
     calls = {}
     for fn in (torus.sigma_rec, heegaard.t0, bounds.invariants,
-               pinch.pinch_runs, pinch.landing):
+               pinch.pinch_runs, pinch.landing, pinch.tail):
         calls[fn.__name__] = 0
 
         def counted(*args, _fn=fn):
@@ -201,10 +201,10 @@ def test_report_computes_each_invariant_once(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, counted)
     report(10, 9)
-    # landing only checks the GAMMA3 walk's two runs, (10, 9) -> (2, 1)
-    # and its TAIL to (0, 1)
+    # landing checks the walk's one run, (10, 9) -> (2, 1), and then
+    # finds where the walk ends, which tail continues to (0, 1)
     assert calls == {"sigma_rec": 1, "t0": 1, "invariants": 1,
-                     "pinch_runs": 1, "landing": 2}
+                     "pinch_runs": 1, "landing": 2, "tail": 1}
 
 
 def check_same_text(text, expected):
