@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure.
 All success output goes to stdout; diagnostics go to stderr.  Input is
-checked before anything is printed, so exit 2 leaves stdout empty.  `pinch`,
-`scan`, `table` and `profile` write each row as it is made, so a failed
-check (exit 3) may leave the rows made before it on stdout.  `report`
-writes its trace in batches as it goes, but only after every check of the
-certificate has passed, so its exits 2 and 3 leave stdout empty.  A reader
-that closes stdout early (`| head -1`) ends the command quietly with exit 0.
+checked before anything is printed, so exit 2 leaves stdout empty.  `scan`,
+`table` and `profile` write each row as it is made, so a failed check
+(exit 3) may leave the rows made before it on stdout.  `report` and `pinch`
+write in batches, but only after every check of the certificate or walk
+has passed, so their exits 2 and 3 leave stdout empty.  A reader that
+closes stdout early (`| head -1`) ends the command quietly with exit 0.
 Every command takes integer arguments of at most MAX_DIGITS digits.
 """
 
@@ -92,9 +92,8 @@ def _cmd_pinch(args, out):
         raise InputError("in-S^3 continuation needs p*q even, got %s" % (K,))
     line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n".__mod__
     pair = "%d,%d".__mod__
-    runs = []
-    for run in pinch.pinch_runs(K):
-        runs.append(run)
+    runs = pinch.pinch_runs(K)
+    for run in runs:
         _, _, a, b, kind, n = run
         # In a POSITIVE run (t, h) = (a, b): the raw landing of step i starts
         # step i + 1, so each line joins two pair strings formatted once.

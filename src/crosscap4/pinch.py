@@ -19,10 +19,10 @@ so a run's length is one floor division.  When pq is even the walk ends
 on (m, 1) with m even or on (1, 0), since a pinch keeps each coordinate's
 parity; tail gives the in-S^3 continuation from there in closed form.
 
-pinch_runs yields the runs, with two modular inverses per run;
-reports.report sums their lengths, and the tail's, into the upper bounds,
-and run_columns expands a run into its steps as ranges, so no caller
-makes a Python object per step.
+pinch_runs returns the runs, all checked, with two modular inverses per
+run; reports.report sums their lengths, and the tail's, into the upper
+bounds, and run_columns expands a run into its steps as ranges, so no
+caller makes a Python object per step.
 """
 
 import math
@@ -42,35 +42,28 @@ PINCH_MAX_P = 10 ** 6
 
 def pinch_step(p, q):
     """The inverses (t, h) of one pinch move on T(p,q), p > q >= 1
-    coprime: it lands on (p - 2t, q - 2h), signs as computed."""
-    if math.gcd(p, q) != 1:
-        raise InputError("(%d, %d) are not coprime" % (p, q))
-    if p <= q or q < 1:
-        raise InputError("pinch needs p > q >= 1, got (%d, %d)" % (p, q))
+    coprime: it lands on (p - 2t, q - 2h), signs as computed.  The walk in
+    pinch_runs, its caller, keeps to that domain and checks the result."""
     t = -pow(q, -1, p) % p
     h = pow(p, -1, q)  # 0 for q = 1: every residue mod 1 is 0
     return t, h
 
 
 def pinch_runs(K):
-    """Yield the pinch walk from K to the first unknot (q <= 1) as runs
+    """Return the walk from K to the first unknot (q <= 1) as a tuple of runs
     (p, q, a, b, kind, n): step i < n of a run starts at (p - 2ia, q - 2ib).
 
-    Raises InputError at the call, not at the first run, when K.p exceeds
-    PINCH_MAX_P.  Each run is checked before it is yielded, and the checks
-    cover every one of its steps: the inverses at its start, its domain at
-    its first and last pair (each condition is linear in i), primitivity
-    and strict decrease of its last landing, and a cap of K.p steps in all.
+    Raises InputError when K.p exceeds PINCH_MAX_P.  Every run is checked
+    before the walk is returned, and the checks cover every one of its
+    steps: the inverses at its start, its domain at its first and last pair
+    (each condition is linear in i), primitivity and strict decrease of its
+    last landing, and a cap of K.p steps in all.
     """
     if K.p > PINCH_MAX_P:
         raise InputError("pinch accepts p <= %d, got %d"
                          % (PINCH_MAX_P, K.p))
-    return _runs(K)
-
-
-def _runs(K):
     p, q = K.p, K.q
-    total = 0
+    runs, total = [], 0
     # Parity needs no check: every displacement 2a, 2b is even.
     while q > 1:  # pairs stay descending, so q is the smaller one
         t, h = pinch_step(p, q)
@@ -100,8 +93,9 @@ def _runs(K):
         if total > K.p:
             raise ConsistencyError(
                 "pinch sequence from %s exceeded %d steps" % (K, K.p))
-        yield run
+        runs.append(run)
         p, q = r, s
+    return tuple(runs)
 
 
 def landing(run):

@@ -72,10 +72,8 @@ def report(p, q):
     lower = inv[5]
 
     # One walk serves both upper bounds and the runs, gamma3 with its tail.
-    runs, steps = [], 0
-    for run in pinch_runs(K):
-        runs.append(run)
-        steps += run[5]
+    runs = pinch_runs(K)
+    steps = sum(run[5] for run in runs)
     upper = max(1, steps)
     if lower > upper:
         raise ConsistencyError("lower bound %d exceeds upper %d for %s"
@@ -83,8 +81,7 @@ def report(p, q):
     gamma3 = (max(1, steps + len(tail(*walk_end(K, runs))))
               if (K.p * K.q) % 2 == 0 else None)
 
-    return BoundReport(K.p, K.q, *inv, upper, lower == upper, gamma3,
-                       tuple(runs))
+    return BoundReport(K.p, K.q, *inv, upper, lower == upper, gamma3, runs)
 
 
 def family_table(k_max):

@@ -94,7 +94,7 @@ def test_report_invalid_input(capsys):
 
 @pytest.mark.parametrize("fn", [
     reports.report, torus.canonicalize, torus.sigma_rec, torus.sigma_lattice,
-    heegaard.t0, torus.alexander, pinch.pinch_step])
+    heegaard.t0, torus.alexander])
 def test_not_coprime_message(fn):
     with pytest.raises(InputError) as exc:
         fn(6, 4)
@@ -253,10 +253,16 @@ def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
                 map("(%d,%d)".__mod__, trace_pairs(canonicalize(p, q))))
 
 
-def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["pinch", "47", "26"],
+    ["pinch", "47", "26", "--gamma3"],
+    ["report", "47", "26"],
+    ["report", "47", "26", "--json"],
+])
+def test_failed_pinch_check_leaves_stdout_empty(capsys, monkeypatch, argv):
     # T(47,26) walks a run of 3 steps from (47,26), then one of 2 from (7,4).
-    # The inverses of the second run's start are made wrong; the first
-    # run's lines are already out when its check fails.
+    # The inverses of the second run's start are made wrong: the walk fails
+    # its check before anything of the first run is printed.
     starts = []
 
     def bad_second_inverse(p, q, _step=pinch.pinch_step):
@@ -265,15 +271,10 @@ def test_pinch_streams_steps_before_a_failed_check(capsys, monkeypatch):
         return (t + 1, h) if len(starts) == 2 else (t, h)
 
     monkeypatch.setattr(pinch, "pinch_step", bad_second_inverse)
-    code, out, err = run(capsys, "pinch", "47", "26")
-    assert code == 3
+    assert run(capsys, *argv) == (
+        3, "", "internal error: pinch inverses t=6, h=3 fail "
+               "p*h - q*t = 1 at (7, 4)\n")
     assert starts == [(47, 26), (7, 4)]
-    assert err == ("internal error: pinch inverses t=6, h=3 fail "
-                   "p*h - q*t = 1 at (7, 4)\n")
-    lines = oracle_lines(47, 26).splitlines(keepends=True)
-    assert lines[3].startswith("(7,4) ")
-    assert out == "".join(lines[:3])
-    assert out.startswith("(47,26) --t=9,h=5--> (29,16)\n")
 
 
 def test_pinch_gamma3(capsys):

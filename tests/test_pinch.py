@@ -28,7 +28,7 @@ def run_steps(K):
 def gamma3_steps(K):
     """The steps `pinch --gamma3` prints: the walk's, then the tail's from
     where the walk ends."""
-    runs = list(pinch_runs(K))
+    runs = pinch_runs(K)
     return (list(chain.from_iterable(zip(*run_columns(run)) for run in runs))
             + [(m, 1, m - 1, 0, 2 - m, 1) for m in tail(*walk_end(K, runs))])
 
@@ -57,13 +57,6 @@ def test_step_t21():
     t, h = pinch_step(2, 1)
     assert (t, h) == (1, 0)
     assert (2 - 2 * t, 1 - 2 * h) == (0, 1)
-
-
-def test_step_errors():
-    with pytest.raises(InputError, match=r"\(6, 4\) are not coprime"):
-        pinch_step(6, 4)
-    with pytest.raises(InputError, match=r"pinch needs p > q >= 1"):
-        pinch_step(3, 5)
 
 
 @settings(max_examples=200)
@@ -161,10 +154,10 @@ def test_upper_never_below_lower():
 def check_runs_against_oracle(p, q):
     K = canonicalize(p, q)
     r = report(p, q)
-    runs = list(pinch_runs(K))
+    runs = pinch_runs(K)
     steps = list(step_walk(K))
     assert list(run_steps(K)) == steps, (p, q)
-    assert r.pinch_runs == tuple(runs), (p, q)
+    assert r.pinch_runs == runs, (p, q)
     assert len(runs) <= p.bit_length(), (p, q, len(runs))
     assert r.gamma4_upper == max(1, len(steps)), (p, q)
     if runs:  # each run starts where the one before it landed
@@ -196,7 +189,7 @@ def test_runs_equal_step_walk_property(p, data):
 
 def test_runs_multi_run_mirrored_walk():
     K = canonicalize(621645, 414437)
-    runs = list(pinch_runs(K))
+    runs = pinch_runs(K)
     assert len(runs) > 1
     assert MIRRORED in [run[4] for run in runs]
     assert sum(run[5] for run in runs) == report(K.p, K.q).gamma4_upper == 4944
@@ -258,7 +251,7 @@ def test_tail_of_every_even_walk():
         for q in range(1, p):
             if (p * q) % 2 == 0 and math.gcd(p, q) == 1:
                 K = canonicalize(p, q)
-                end = walk_end(K, list(pinch_runs(K)))
+                end = walk_end(K, pinch_runs(K))
                 assert end == (1, 0) or end[1] == 1 and end[0] % 2 == 0
                 tail(*end)  # raises ConsistencyError on an odd m
 

@@ -207,6 +207,25 @@ def test_report_computes_each_invariant_once(monkeypatch):
                      "pinch_runs": 1, "landing": 2, "tail": 1}
 
 
+@pytest.mark.parametrize("p, q, runs, steps", [
+    (20001, 20000, 1, 10000), (621645, 414437, 2, 4944)])
+def test_a_wrapper_around_pinch_runs_sees_the_whole_walk(monkeypatch, p, q,
+                                                         runs, steps):
+    # As a tracer outside the program would: the wrapper sees only what
+    # pinch_runs returns, so the walk must be whole when it returns.
+    seen = []
+
+    def traced(K, _walk=reports.pinch_runs):
+        result = _walk(K)
+        seen.append((len(result), sum(run[5] for run in result)))
+        return result
+
+    monkeypatch.setattr(reports, "pinch_runs", traced)
+    r = report(p, q)
+    assert seen == [(runs, steps)]
+    assert r.gamma4_upper == steps
+
+
 def check_same_text(text, expected):
     """Raise AssertionError naming the first difference, if any.  pytest
     would diff two long texts line by line, which takes minutes for a
