@@ -94,20 +94,17 @@ def _cmd_pinch(args, out):
     pair = "%d,%d".__mod__
     runs = pinch.pinch_runs(K)
     for run in runs:
-        _, _, a, b, kind, n = run
-        # In a POSITIVE run (t, h) = (a, b): the raw landing of step i starts
-        # step i + 1, so each line joins two pair strings formatted once.
+        _, _, a, b, kind, _ = run
+        # In a POSITIVE run (t, h) = (a, b) and step i's raw landing starts
+        # step i + 1, so a batch's lines pair up its starts and last landing.
         mid = ") --t=%d,h=%d--> (" % (a, b)
-        for lo in range(0, n, pinch.STEP_BATCH):
-            hi = min(n, lo + pinch.STEP_BATCH)
+        for ps, qs, ts, hs, rs, ss in pinch.run_batches(run):
             if kind == pinch.POSITIVE:
-                starts = list(map(pair, zip(
-                    *pinch.run_columns(run, lo, hi + 1)[:2])))
+                starts = [*map(pair, zip(ps, qs)), pair((rs[-1], ss[-1]))]
                 out.write("(" + ")\n(".join(
                     map(mid.join, zip(starts, starts[1:]))) + ")\n")
             else:
-                out.write("".join(
-                    map(line, zip(*pinch.run_columns(run, lo, hi)))))
+                out.write("".join(map(line, zip(ps, qs, ts, hs, rs, ss))))
     ms = pinch.tail(*pinch.walk_end(K, runs)) if args.gamma3 else ()
     for lo in range(0, len(ms), pinch.STEP_BATCH):
         out.write("".join(line((m, 1, m - 1, 0, 2 - m, 1))

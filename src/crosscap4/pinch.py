@@ -21,8 +21,8 @@ parity; tail gives the in-S^3 continuation from there in closed form.
 
 pinch_runs returns the runs, all checked, with two modular inverses per
 run; reports.report sums their lengths, and the tail's, into the upper
-bounds, and run_columns expands a run into its steps as ranges, so no
-caller makes a Python object per step.
+bounds, and run_batches expands a run into its steps as ranges, a batch
+at a time, so no caller makes a Python object per step.
 """
 
 import math
@@ -137,13 +137,14 @@ def _column(x, d, k, mirrored):
 STEP_BATCH = 256
 
 
-def run_columns(run, lo=0, hi=None):
-    """Steps lo <= i < hi (default: all) of run as six columns p, q, t, h,
-    r, s, ranges or repeats, so that zip(*columns) gives each step's
-    (p, q, t, h, r, s) with (r, s) = (p - 2t, q - 2h).  hi may pass the
-    run's length: the columns go on at its displacement."""
+def run_batches(run):
+    """Yield the steps of run, STEP_BATCH at a time, as six columns p, q,
+    t, h, r, s, ranges or repeats, so that zip(*columns) gives each step's
+    (p, q, t, h, r, s) with (r, s) = (p - 2t, q - 2h).  Both displacements
+    a, b are nonzero, as in every run pinch_runs returns (a >= b >= 1)."""
     p, q, a, b, kind, n = run
-    hi = n if hi is None else hi
-    ps, ts, rs = _column(p - 2 * lo * a, a, hi - lo, kind == MIRRORED)
-    qs, hs, ss = _column(q - 2 * lo * b, b, hi - lo, kind == MIRRORED)
-    return ps, qs, ts, hs, rs, ss
+    for lo in range(0, n, STEP_BATCH):
+        k = min(STEP_BATCH, n - lo)
+        ps, ts, rs = _column(p - 2 * lo * a, a, k, kind == MIRRORED)
+        qs, hs, ss = _column(q - 2 * lo * b, b, k, kind == MIRRORED)
+        yield ps, qs, ts, hs, rs, ss

@@ -2,10 +2,9 @@
 
 from typing import NamedTuple, Optional
 
-from . import pinch
 from .bounds import invariants
 from .errors import ConsistencyError, InputError
-from .pinch import pinch_runs, run_columns, tail, walk_end
+from .pinch import pinch_runs, run_batches, tail, walk_end
 from .torus import canonicalize
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
@@ -100,9 +99,7 @@ def trace_parts(r, sep, pair_format):
     on; it is (r.p, r.q) alone when the walk takes no step."""
     lead = ""
     for run in r.pinch_runs:
-        n = run[5]
-        for lo in range(0, n, pinch.STEP_BATCH):
-            ps, qs = run_columns(run, lo, min(n, lo + pinch.STEP_BATCH))[:2]
+        for ps, qs, *_ in run_batches(run):
             yield lead + sep.join(map(pair_format.__mod__, zip(ps, qs)))
             lead = sep
     yield lead + pair_format % walk_end(r, r.pinch_runs)

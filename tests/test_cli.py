@@ -222,7 +222,7 @@ def test_pinch_output_equals_step_walk(capsys, argv, bound):
 
 @pytest.mark.parametrize("batch", [1, 2, 3, STEP_BATCH])
 def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
-    # A POSITIVE batch formats its start pairs and one pair past its end;
+    # A POSITIVE batch formats its start pairs and its last landing;
     # small batches put a boundary after every step of short walks.  The
     # report trace reads the same batch size, so it is cut there too.  One
     # parser serves every case: building it would take most of the time.

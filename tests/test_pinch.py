@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from crosscap4.bounds import invariants
 from crosscap4.cli import main
 from crosscap4.errors import ConsistencyError, InputError
-from crosscap4.pinch import (MIRRORED, PINCH_MAX_P, POSITIVE, landing,
-                             pinch_runs, pinch_step, run_columns, tail,
-                             walk_end)
+from crosscap4.pinch import (MIRRORED, PINCH_MAX_P, POSITIVE, STEP_BATCH,
+                             landing, pinch_runs, pinch_step, run_batches,
+                             tail, walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
@@ -19,17 +19,18 @@ PARITY_ERROR = "error: in-S^3 continuation needs p*q even, got T(7,3)\n"
 
 def run_steps(K):
     """The walk's steps (p, q, t, h, r, s) as `pinch` prints them: each run
-    of pinch_runs expanded by run_columns.  The argument is checked at the
-    call, as pinch_runs checks it."""
-    return chain.from_iterable(zip(*run_columns(run))
-                               for run in pinch_runs(K))
+    of pinch_runs expanded by run_batches, batch after batch.  The argument
+    is checked at the call, as pinch_runs checks it."""
+    return chain.from_iterable(zip(*c) for run in pinch_runs(K)
+                               for c in run_batches(run))
 
 
 def gamma3_steps(K):
     """The steps `pinch --gamma3` prints: the walk's, then the tail's from
     where the walk ends."""
     runs = pinch_runs(K)
-    return (list(chain.from_iterable(zip(*run_columns(run)) for run in runs))
+    return (list(chain.from_iterable(zip(*c) for run in runs
+                                     for c in run_batches(run)))
             + [(m, 1, m - 1, 0, 2 - m, 1) for m in tail(*walk_end(K, runs))])
 
 
@@ -159,6 +160,8 @@ def check_runs_against_oracle(p, q):
     assert list(run_steps(K)) == steps, (p, q)
     assert r.pinch_runs == runs, (p, q)
     assert len(runs) <= p.bit_length(), (p, q, len(runs))
+    for _, _, a, b, _, n in runs:  # the domain run_batches relies on
+        assert a >= b >= 1 and n >= 1, (p, q, a, b, n)
     assert r.gamma4_upper == max(1, len(steps)), (p, q)
     if runs:  # each run starts where the one before it landed
         assert [run[:2] for run in runs[1:]] == list(map(landing, runs[:-1]))
@@ -226,16 +229,19 @@ def test_runs_family_is_one_run():
     assert report(K.p, K.q).gamma4_upper == 499998
 
 
-def test_runs_columns_slice_a_run():
+def test_run_batches_cut_a_run():
     run = (20001, 20000, 1, 1, POSITIVE, 10000)
-    whole = list(zip(*run_columns(run)))
-    for lo, hi in ((0, 1), (3, 4099), (9999, 10000), (5, 5)):
-        assert list(zip(*run_columns(run, lo, hi))) == whole[lo:hi]
-    # past the end of a POSITIVE run, the start of step i is the raw
-    # landing of step i - 1
-    ps, qs = run_columns(run, 9998, 10001)[:2]
-    assert list(zip(ps, qs)) == [whole[9998][:2], whole[9999][:2],
-                                 whole[9999][4:]]
+    batches = [list(zip(*c)) for c in run_batches(run)]
+    assert STEP_BATCH == 256
+    assert list(map(len, batches)) == [STEP_BATCH] * 39 + [16]
+    assert list(chain.from_iterable(batches)) == [
+        (20001 - 2 * i, 20000 - 2 * i, 1, 1, 19999 - 2 * i, 19998 - 2 * i)
+        for i in range(10000)]
+    # In a POSITIVE run, the raw landing of a batch's last step starts
+    # the next batch, and the last batch's is where the run lands.
+    for batch, after in zip(batches, batches[1:]):
+        assert batch[-1][4:] == after[0][:2]
+    assert batches[-1][-1][4:] == landing(run) == (1, 0)
 
 
 def test_runs_checked_at_the_call(capsys):

@@ -277,12 +277,13 @@ def expanded(r):
 @st.composite
 def synthetic_reports(draw):
     """BoundReports with arbitrary field values and up to two runs of
-    arbitrary pairs and displacements, each of a few or STEP_BATCH + 1
-    steps, so the trace can hold 1 pair, a few, or more than one batch."""
+    arbitrary pairs and nonzero displacements (the walk never takes a zero
+    one), each of a few or STEP_BATCH + 1 steps, so the trace can hold 1
+    pair, a few, or more than one batch."""
     names = BoundReport._fields
     values = {n: draw(big_ints) for n in names[:9]}
     runs = draw(st.lists(st.tuples(
-        big_ints, big_ints, big_ints, big_ints,
+        big_ints, big_ints, big_ints.filter(bool), big_ints.filter(bool),
         st.sampled_from([POSITIVE, MIRRORED]),
         st.integers(1, 3) | st.just(STEP_BATCH + 1)), max_size=2))
     return BoundReport(
