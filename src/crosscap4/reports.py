@@ -8,9 +8,10 @@ from .pinch import pinch_runs, run_batches, tail, walk_end
 from .torus import canonicalize
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
-# pairs, so `table --json` prints O(k_max^2) pairs; CSV and TSV rows print
-# no trace.  Streamed, `table --family 2k --kmax 1000` takes about 0.4 s
-# with --json and 0.1 s with --csv, in 15 MB, on a 2-vCPU Xeon VM.
+# pairs, so `table --json` prints O(k_max^2) pairs, but formats only one
+# new pair per row (write_rows); CSV and TSV rows print no trace.
+# Streamed, `table --family 2k --kmax 1000` takes about 0.1 s with --json
+# and with --csv, in 15 MB, on a 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
@@ -46,9 +47,10 @@ _JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
     '  "%s": %%s' % name for name in BoundReport._fields[:-1])
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
 
-# The head, pair and closing templates of a report at the top level and
-# nested one level in a list: no value holds a newline, so indenting every
-# newline of the templates indents the whole text.
+# The head, pair and closing templates of a report at the top level, as
+# json_parts writes it, and nested one level in a list, as write_rows
+# writes it: no value holds a newline, so indenting every newline of the
+# templates indents the whole text.
 _JSON_TEMPLATES = {
     indent: tuple(t.replace("\n", "\n" + indent) for t in (
         _JSON_HEAD, _JSON_PAIR, "\n  ]\n}"))
@@ -112,27 +114,58 @@ def _cells(r, null):
                     null if r.gamma3_upper is None else r.gamma3_upper)
 
 
-def json_parts(r, indent=""):
-    """Deterministic JSON text for one report, in parts, with indent after
-    every newline ("" or two spaces): its scalar fields in field order,
-    then "pinch_trace", the list of trace pairs in batches, laid out as
-    json.dumps(indent=2) lays them out, then the closing brackets."""
-    head, pair, tail = _JSON_TEMPLATES[indent]
+def json_parts(r):
+    """Deterministic JSON text for one report, in parts: its scalar fields
+    in field order, then "pinch_trace", the list of trace pairs in
+    batches, laid out as json.dumps(indent=2) lays them out, then the
+    closing brackets."""
+    head, pair, tail = _JSON_TEMPLATES[""]
     yield head % _cells(r, "null")
     yield from trace_parts(r, ",", pair)
     yield tail
 
 
+def _after_first_step(runs):
+    """The runs of a walk without its first step: step i of a run starts
+    at (p - 2ia, q - 2ib), so the run's steps 1..n-1 are a run of n - 1
+    steps from (p - 2a, q - 2b)."""
+    p, q, a, b, kind, n = runs[0]
+    if n == 1:
+        return runs[1:]
+    return ((p - 2 * a, q - 2 * b, a, b, kind, n - 1),) + runs[1:]
+
+
 def write_rows(rows, out, fmt):
     """Write each report of rows to out as it is made: CSV or TSV lines
-    under a header, or a JSON list of the json_parts texts, laid out as
-    json.dumps(indent=2) lays out a list, plus a newline."""
+    under a header, or a JSON list of the reports' JSON texts, laid out as
+    json.dumps(indent=2) lays out a list, plus a newline.
+
+    In JSON, a row whose walk is the previous row's walk with one step put
+    in front, and which ends where that walk ends, reuses the previous
+    row's trace text: it is the pair runs[0][:2], a comma and that text.
+    That is exact, because the trace is the start of every step, then the
+    walk's end.  The starts of the row's walk are runs[0][:2] followed by
+    the starts of its walk without the first step, which are the previous
+    row's, and both walks end on the same pair.  The end check matters
+    when the row takes one step and the previous row none.  Each row of
+    the family T(2k, 2k-1) after the first reuses its predecessor's trace,
+    so the table formats one new pair per row.  A row is written in its
+    four pieces, not joined first, so that no copy of a long trace is made
+    only to be written."""
     if fmt == JSON:
-        sep = "[\n  "
+        head, pair, tail = _JSON_TEMPLATES["  "]
+        sep, prev, trace = "[\n  ", None, ""
         for r in rows:
-            out.write(sep + "".join(json_parts(r, "  ")))
-            sep = ",\n  "
-        out.write("[]\n" if sep == "[\n  " else "\n]\n")
+            runs = r.pinch_runs
+            if (prev is not None and runs
+                    and _after_first_step(runs) == prev.pinch_runs
+                    and walk_end(r, runs) == walk_end(prev, prev.pinch_runs)):
+                trace = pair % runs[0][:2] + "," + trace
+            else:
+                trace = "".join(trace_parts(r, ",", pair))
+            out.writelines((sep, head % _cells(r, "null"), trace, tail))
+            sep, prev = ",\n  ", r
+        out.write("[]\n" if prev is None else "\n]\n")
         return
     if fmt not in (CSV, TSV):
         raise ValueError("unknown row format %r" % (fmt,))

@@ -308,15 +308,59 @@ def test_emit_json_matches_stdlib_on_synthetic_reports(r):
                     json.dumps(report_dict(r, expanded(r)), indent=2))
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.lists(synthetic_reports(), max_size=3))
+@st.composite
+def chains(draw):
+    """A synthetic report with at least one run, then up to three parents,
+    each the one before with a step put in front of its first run:
+    (p, q, a, b, kind, n) becomes (p + 2a, q + 2b, a, b, kind, n + 1), and
+    every other field is drawn anew.  write_rows reuses a row's trace text
+    for its parent."""
+    rows = [draw(synthetic_reports().filter(lambda r: r.pinch_runs))]
+    for _ in range(draw(st.integers(0, 3))):
+        p, q, a, b, kind, n = rows[-1].pinch_runs[0]
+        runs = ((p + 2 * a, q + 2 * b, a, b, kind, n + 1),) \
+            + rows[-1].pinch_runs[1:]
+        rows.append(draw(synthetic_reports())._replace(pinch_runs=runs))
+    return rows
+
+
+def unknot_row(p, q):
+    """A report with no run, ending on (p, q)."""
+    return filled((), True, None, 0)._replace(p=p, q=q)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(chains() | synthetic_reports().map(lambda r: [r]),
+                max_size=3).map(lambda parts: sum(parts, [])))
 @example([filled((), False, None, 0),
           filled(((3, 2, 1, 1, POSITIVE, 1),), True, 1, 5)])
+# a reused row's new pair is its first run's start, not (r.p, r.q)
+@example([filled(((3, 2, 1, 1, POSITIVE, 1),), True, 1, 7),
+          filled(((5, 4, 1, 1, POSITIVE, 2),), True, 1, 7)])
+# a one-step row after a row with no run, landing on that row's pair:
+# the walk without its first step matches, and so does the end
+@example([unknot_row(2, 1), filled(((4, 3, 1, 1, POSITIVE, 1),), True, 1, 0)])
+# the same, landing on (3, 1) instead: the walks match but the ends differ
+@example([unknot_row(2, 1), filled(((5, 3, 1, 1, POSITIVE, 1),), True, 1, 0)])
 def test_write_rows_json_matches_stdlib_on_synthetic_reports(rows):
+    # Unrelated rows mixed with chains, whose rows reuse trace text.
     check_same_text(
         written(iter(rows), JSON),
         json.dumps([report_dict(r, expanded(r)) for r in rows], indent=2)
         + "\n")
+
+
+def test_write_rows_json_formats_one_trace_per_family_table(monkeypatch):
+    # Each family row after the first reuses its predecessor's trace text.
+    calls = []
+
+    def counted(*args, _parts=trace_parts):
+        calls.append(args[0].p)
+        return _parts(*args)
+
+    monkeypatch.setattr(reports, "trace_parts", counted)
+    write_rows(family_table(200), io.StringIO(), JSON)
+    assert calls == [4]
 
 
 def family_report(steps):
