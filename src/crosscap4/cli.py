@@ -8,7 +8,9 @@ checked before anything is printed, so exit 2 leaves stdout empty.  `scan`,
 write in batches, but only after every check of the certificate or walk
 has passed, so their exits 2 and 3 leave stdout empty.  A reader that
 closes stdout early (`| head -1`) ends the command quietly with exit 0.
-Every command takes integer arguments of at most MAX_DIGITS digits.
+Every command takes integer arguments of at most MAX_DIGITS digits.  Each
+command's other limits live here too and bound only what it prints, so the
+library takes inputs of any size; only torus.alexander bounds its own work.
 """
 
 import argparse
@@ -30,8 +32,37 @@ SCAN_MAX = 300
 # long, below Python's 4,300-digit limit on int-to-str conversion.
 MAX_DIGITS = 1000
 
+# A walk from T(p, q) takes fewer than p steps, in few runs, and `pinch`
+# prints every step and `report` every trace pair: `pinch 1000000 999999`
+# (500,000 steps in one run, streamed) takes 0.3-0.5 s and 15 MB on a
+# 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
+PINCH_MAX_P = 10 ** 6
+
+# Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
+# pairs, so `table --json` prints O(k_max^2) pairs, but formats only one
+# new pair per row (reports.write_rows); CSV and TSV rows print no trace.
+# Streamed, `table --family 2k --kmax 1000` takes about 0.1 s with --json
+# and with --csv, in 15 MB, on a 2-vCPU Xeon VM.
+FAMILY_MAX_K = 1000
+
+# One row per framing, streamed: 10^6 rows of a small knot take 2 s and
+# 15 MB (2-vCPU Xeon); a row grows with the digits of p and q.
+PROFILE_MAX_ROWS = 10 ** 6
+
+
+def _check_nonzero(p, q):
+    if p == 0 or q == 0:
+        raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
+
+
+def _check_walk(K):
+    if K.p > PINCH_MAX_P:
+        raise InputError("pinch accepts p <= %d, got %d" % (PINCH_MAX_P, K.p))
+
 
 def _cmd_report(args, out):
+    _check_nonzero(args.p, args.q)
+    _check_walk(canonicalize(args.p, args.q))
     r = reports.report(args.p, args.q)
     if args.json:
         out.writelines(reports.json_parts(r))
@@ -55,6 +86,9 @@ def _cmd_report(args, out):
 
 
 def _cmd_table(args, out):
+    if not 2 <= args.kmax <= FAMILY_MAX_K:
+        raise InputError("need 2 <= k_max <= %d, got %d"
+                         % (FAMILY_MAX_K, args.kmax))
     fmt = (reports.CSV if args.csv else
            reports.JSON if args.json else reports.TSV)
     reports.write_rows(reports.family_table(args.kmax), out, fmt)
@@ -90,6 +124,7 @@ def _cmd_pinch(args, out):
     K = canonicalize(args.p, args.q)
     if args.gamma3 and (K.p * K.q) % 2:
         raise InputError("in-S^3 continuation needs p*q even, got %s" % (K,))
+    _check_walk(K)
     line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n".__mod__
     pair = "%d,%d".__mod__
     runs = pinch.pinch_runs(K)
@@ -113,8 +148,7 @@ def _cmd_pinch(args, out):
 
 
 def _cmd_signature(args, out):
-    if args.p == 0 or args.q == 0:
-        raise InputError("need nonzero p, q, got (%d, %d)" % (args.p, args.q))
+    _check_nonzero(args.p, args.q)
     rec = torus.sigma_rec(args.p, args.q)
     lat = torus.sigma_lattice(args.p, args.q)
     print("recursion: %d" % rec, file=out)
@@ -147,6 +181,12 @@ def _cmd_dinv(args, out):
 
 def _cmd_profile(args, out):
     K = canonicalize(args.p, args.q)
+    if args.n_from > args.n_to:
+        raise InputError("empty framing window [%d, %d]"
+                         % (args.n_from, args.n_to))
+    if args.n_to - args.n_from >= PROFILE_MAX_ROWS:
+        raise InputError("profile accepts at most %d framings, got %d"
+                         % (PROFILE_MAX_ROWS, args.n_to - args.n_from + 1))
     rows = bounds.framed_profile(K, args.n_from, args.n_to)
     if args.csv:
         out.write("n,sig_bound,d_bound,combined\n")

@@ -28,16 +28,11 @@ at a time, so no caller makes a Python object per step.
 import math
 from itertools import repeat
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
 
 # Run kinds: how a run's inverses (t, h) follow its pairs.
 POSITIVE = "positive"  # t, h = a, b
 MIRRORED = "mirrored"  # t, h = p_i - a, q_i - b
-
-# A walk from T(p, q) takes fewer than p steps, in few runs; `pinch
-# 1000000 999999` (500,000 steps in one run, streamed) takes 0.3-0.5 s
-# and 15 MB on a 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
-PINCH_MAX_P = 10 ** 6
 
 
 def pinch_step(p, q):
@@ -53,15 +48,11 @@ def pinch_runs(K):
     """Return the walk from K to the first unknot (q <= 1) as a tuple of runs
     (p, q, a, b, kind, n): step i < n of a run starts at (p - 2ia, q - 2ib).
 
-    Raises InputError when K.p exceeds PINCH_MAX_P.  Every run is checked
-    before the walk is returned, and the checks cover every one of its
-    steps: the inverses at its start, its domain at its first and last pair
-    (each condition is linear in i), primitivity and strict decrease of its
-    last landing, and a cap of K.p steps in all.
+    Every run is checked before the walk is returned, and the checks cover
+    every one of its steps: the inverses at its start, its domain at its
+    first and last pair (each condition is linear in i), primitivity and
+    strict decrease of its last landing, and a cap of K.p steps in all.
     """
-    if K.p > PINCH_MAX_P:
-        raise InputError("pinch accepts p <= %d, got %d"
-                         % (PINCH_MAX_P, K.p))
     p, q = K.p, K.q
     runs, total = [], 0
     # Parity needs no check: every displacement 2a, 2b is even.

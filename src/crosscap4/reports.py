@@ -3,16 +3,9 @@
 from typing import NamedTuple, Optional
 
 from .bounds import invariants
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
 from .pinch import pinch_runs, run_batches, tail, walk_end
 from .torus import canonicalize
-
-# Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
-# pairs, so `table --json` prints O(k_max^2) pairs, but formats only one
-# new pair per row (write_rows); CSV and TSV rows print no trace.
-# Streamed, `table --family 2k --kmax 1000` takes about 0.1 s with --json
-# and with --csv, in 15 MB, on a 2-vCPU Xeon VM.
-FAMILY_MAX_K = 1000
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
 CSV, TSV, JSON = ",", "\t", "json"
@@ -64,10 +57,9 @@ def report(p, q):
     pair is canonicalized first.  Both chiralities and the lower bound come
     from one call of bounds.invariants, both upper bounds and the runs from
     one pinch walk and its tail.  Signs are canonicalized away, so
-    report(-3, 2) == report(3, 2).  A zero coordinate raises InputError
-    here, and a non-coprime pair raises it in canonicalize."""
-    if p == 0 or q == 0:
-        raise InputError("need nonzero p, q, got (%d, %d)" % (p, q))
+    report(-3, 2) == report(3, 2), and report(0, 1) == report(1, 1) is the
+    unknot's.  A non-coprime pair, (0, 5) among them, raises InputError in
+    canonicalize."""
     K = canonicalize(p, q)
     inv = invariants(K.p, K.q)
     lower = inv[5]
@@ -86,11 +78,8 @@ def report(p, q):
 
 
 def family_table(k_max):
-    """Reports for the family T(2k, 2k-1), k = 2..k_max <= FAMILY_MAX_K,
-    made one at a time; k_max is checked at the call."""
-    if not 2 <= k_max <= FAMILY_MAX_K:
-        raise InputError("need 2 <= k_max <= %d, got %d"
-                         % (FAMILY_MAX_K, k_max))
+    """Reports for the family T(2k, 2k-1), k = 2..k_max, made one at a
+    time."""
     return (report(2 * k, 2 * k - 1) for k in range(2, k_max + 1))
 
 

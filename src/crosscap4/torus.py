@@ -158,7 +158,8 @@ def sigma_lattice(p, q):
     return (p - 1) * (q - 1) - 4 * floor_sum(n, q, p, c - n * p)
 
 
-# Delta costs O(g) time and memory, about 100 MB at this limit.
+# Delta costs O(g) time and memory: at this limit the worst case,
+# `alexander 2000001 2`, takes about 2 s and 340 MB (2-vCPU Xeon VM).
 ALEXANDER_MAX_GENUS = 10 ** 6
 
 

@@ -5,6 +5,7 @@ assertion is the corresponding fail.
 """
 
 import math
+import random
 from itertools import chain
 
 from crosscap4.bounds import invariants, obstruction_audit
@@ -34,7 +35,17 @@ def test_criterion_01_flagship_family():
         assert r.gamma4_lower == k - 1
         assert r.gamma4_upper == k - 1
         assert r.exact
-    ok(1, "gamma4(T(2k,2k-1)) = k-1 exactly for k = 2..25")
+    # The library takes any size: only the commands that print a trace
+    # bound p.  k = 500,001 is the first k above the `report` limit.
+    rng = random.Random(1)
+    ks = [500001] + [rng.randrange(2, 10 ** rng.randint(1, 999))
+                     for _ in range(50)]
+    for k in ks:
+        r = report(2 * k, 2 * k - 1)
+        assert r.gamma4_lower == r.gamma4_upper == k - 1
+        assert r.exact
+    ok(1, "gamma4(T(2k,2k-1)) = k-1 exactly for k = 2..25, k = 500,001 "
+       "and 50 random k below 10^999")
 
 
 def test_criterion_02_signature_oracle_equivalence():

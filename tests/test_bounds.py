@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap4 import bounds
+from crosscap4 import cli
 from crosscap4.bounds import framed_profile, invariants, obstruction_audit
 from crosscap4.errors import InputError
 from crosscap4.reports import report
@@ -113,26 +113,34 @@ def test_framed_profile_rows():
     assert (sig_b, d_b, comb) == (2, 0, 2)
 
 
-def test_framed_profile_row_limit(monkeypatch):
-    # a small limit checks the boundary without building 10^6 rows
-    monkeypatch.setattr(bounds, "PROFILE_MAX_ROWS", 3)
-    K = canonicalize(4, 3)
-    assert len(list(framed_profile(K, -1, 1))) == 3
-    with pytest.raises(InputError,
-                       match="profile accepts at most 3 framings, got 4"):
-        framed_profile(K, -1, 2)
+def profile(capsys, n_from, n_to):
+    """Exit code, stdout and stderr of `profile 4 3 --from n_from --to n_to
+    --csv`."""
+    code = cli.main(["profile", "4", "3", "--from", str(n_from),
+                     "--to", str(n_to), "--csv"])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
-def test_framed_profile_makes_rows_lazily():
+def test_framed_profile_row_limit(capsys, monkeypatch):
+    # The limit is the command's; a small one checks the boundary without
+    # printing 10^6 rows.
+    monkeypatch.setattr(cli, "PROFILE_MAX_ROWS", 3)
+    code, out, err = profile(capsys, -1, 1)
+    assert (code, out.count("\n"), err) == (0, 4, "")  # header and 3 rows
+    assert profile(capsys, -1, 2) == (
+        2, "", "error: profile accepts at most 3 framings, got 4\n")
+
+
+def test_framed_profile_makes_rows_lazily(capsys):
     K = canonicalize(4, 3)
-    rows = framed_profile(K, 0, bounds.PROFILE_MAX_ROWS - 1)
+    rows = framed_profile(K, 0, 10 ** 999)
     assert inspect.isgenerator(rows)
     assert inspect.getgeneratorstate(rows) == inspect.GEN_CREATED
     assert next(rows)[0] == 0
-    with pytest.raises(InputError, match="profile accepts at most"):
-        framed_profile(K, 0, bounds.PROFILE_MAX_ROWS)
-    with pytest.raises(InputError, match="empty framing window"):
-        framed_profile(K, 1, 0)
+    assert list(framed_profile(K, 1, 0)) == []
+    assert profile(capsys, 1, 0) == (
+        2, "", "error: empty framing window [1, 0]\n")
 
 
 class TestObstructionAudit:

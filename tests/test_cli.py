@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import crosscap4
 from crosscap4 import cli, heegaard, pinch, reports, torus
-from crosscap4.bounds import PROFILE_MAX_ROWS
-from crosscap4.cli import MAX_DIGITS, SCAN_MAX, main
+from crosscap4.cli import (FAMILY_MAX_K, MAX_DIGITS, PINCH_MAX_P,
+                           PROFILE_MAX_ROWS, SCAN_MAX, main)
 from crosscap4.errors import ConsistencyError, InputError
-from crosscap4.pinch import PINCH_MAX_P, STEP_BATCH
-from crosscap4.reports import CSV, FAMILY_MAX_K, write_rows
+from crosscap4.pinch import STEP_BATCH
+from crosscap4.reports import CSV, write_rows
 from crosscap4.torus import canonicalize
 from oracles import report_dict, step_walk, trace_pairs
 
@@ -424,6 +424,7 @@ def test_out_of_range_exits_2(capsys, argv):
                         "report {} {} --json", "alexander {} {}",
                         "dinv {} {}", "profile {} {} --from -2 --to 2",
                         "profile 4 3 --from {} --to {}",
+                        "table --family 2k --kmax {}",
                         "audit --g {} --m {} --d 1"]),
        st.integers() | st.integers(-BIG, BIG),
        st.integers() | st.integers(-BIG, BIG))

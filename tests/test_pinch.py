@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from crosscap4.bounds import invariants
-from crosscap4.cli import main
-from crosscap4.errors import ConsistencyError, InputError
-from crosscap4.pinch import (MIRRORED, PINCH_MAX_P, POSITIVE, STEP_BATCH,
-                             landing, pinch_runs, pinch_step, run_batches,
-                             tail, walk_end)
+from crosscap4.cli import PINCH_MAX_P, main
+from crosscap4.errors import ConsistencyError
+from crosscap4.pinch import (MIRRORED, POSITIVE, STEP_BATCH, landing,
+                             pinch_runs, pinch_step, run_batches, tail,
+                             walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
@@ -19,8 +19,7 @@ PARITY_ERROR = "error: in-S^3 continuation needs p*q even, got T(7,3)\n"
 
 def run_steps(K):
     """The walk's steps (p, q, t, h, r, s) as `pinch` prints them: each run
-    of pinch_runs expanded by run_batches, batch after batch.  The argument
-    is checked at the call, as pinch_runs checks it."""
+    of pinch_runs expanded by run_batches, batch after batch."""
     return chain.from_iterable(zip(*c) for run in pinch_runs(K)
                                for c in run_batches(run))
 
@@ -34,9 +33,9 @@ def gamma3_steps(K):
             + [(m, 1, m - 1, 0, 2 - m, 1) for m in tail(*walk_end(K, runs))])
 
 
-def pinch_7_3_gamma3(capsys):
-    """Exit code, stdout and stderr of `pinch 7 3 --gamma3`."""
-    code = main(["pinch", "7", "3", "--gamma3"])
+def run(capsys, *argv):
+    """Exit code, stdout and stderr of the command argv."""
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -79,16 +78,21 @@ def test_step_fields_property(p, data):
         assert (to.hand is Hand.LEFT) == (r * s < 0)
 
 
-def test_sequence_declared_domain():
+def test_sequence_declared_domain(capsys):
+    # The limit is on the commands that print the walk; the walk itself
+    # takes any size.
     n = PINCH_MAX_P
     assert math.gcd(n, 3) == math.gcd(n + 1, 3) == 1
     steps = list(run_steps(canonicalize(n, 3)))  # one step
     assert min(map(abs, steps[-1][4:])) <= 1
-    over = "pinch accepts p <= %d, got %d" % (n, n + 1)
-    with pytest.raises(InputError, match=over):
-        run_steps(canonicalize(n + 1, 3))  # raised at the call
-    with pytest.raises(InputError, match=over):
-        report(n + 1, 3)
+    assert run(capsys, "pinch", str(n), "3") == (
+        0, "(%d,%d) --t=%d,h=%d--> (%d,%d)\n" % steps[0], "")
+    assert run(capsys, "report", str(n), "3")[0] == 0
+    over = "error: pinch accepts p <= %d, got %d\n" % (n, n + 1)
+    assert run(capsys, "pinch", str(n + 1), "3") == (2, "", over)
+    assert run(capsys, "report", str(n + 1), "3") == (2, "", over)
+    K = canonicalize(n + 1, 3)
+    assert list(run_steps(K)) == list(step_walk(K))
 
 
 def test_sequence_family():
@@ -124,7 +128,7 @@ def test_gamma3_upper_values():
 
 
 def test_gamma3_parity_guard(capsys):
-    assert pinch_7_3_gamma3(capsys) == (2, "", PARITY_ERROR)
+    assert run(capsys, "pinch", "7", "3", "--gamma3") == (2, "", PARITY_ERROR)
 
 
 def test_step_invariants_sweep():
@@ -245,9 +249,13 @@ def test_run_batches_cut_a_run():
 
 
 def test_runs_checked_at_the_call(capsys):
-    assert pinch_7_3_gamma3(capsys) == (2, "", PARITY_ERROR)
-    with pytest.raises(InputError, match="pinch accepts p <= "):
-        pinch_runs(canonicalize(PINCH_MAX_P + 1, 3))
+    # `pinch` checks the parity, then the limit, both before the walk.
+    n = PINCH_MAX_P
+    assert run(capsys, "pinch", str(n + 3), str(n + 1), "--gamma3") == (
+        2, "", "error: in-S^3 continuation needs p*q even, got T(%d,%d)\n"
+        % (n + 3, n + 1))
+    assert run(capsys, "pinch", str(n + 1), "2", "--gamma3") == (
+        2, "", "error: pinch accepts p <= %d, got %d\n" % (n, n + 1))
 
 
 def test_tail_of_every_even_walk():

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from crosscap4 import bounds, heegaard, pinch, reports, torus
 from crosscap4.bounds import invariants
+from crosscap4.cli import FAMILY_MAX_K, main
 from crosscap4.errors import InputError
 from crosscap4.pinch import MIRRORED, POSITIVE, STEP_BATCH
-from crosscap4.reports import (CSV, CSV_HEADER, FAMILY_MAX_K, JSON, TSV,
-                               BoundReport, family_table, json_parts, report,
-                               trace_parts, write_rows)
+from crosscap4.reports import (CSV, CSV_HEADER, JSON, TSV, BoundReport,
+                               family_table, json_parts, report, trace_parts,
+                               write_rows)
 from crosscap4.torus import canonicalize
 from oracles import report_dict, trace_pairs
 
@@ -84,9 +85,13 @@ def test_report_not_coprime():
         report(6, 4)
 
 
-def test_report_out_of_range():
-    with pytest.raises(InputError, match=r"need nonzero p, q, got \(0, 1\)"):
-        report(0, 1)
+def test_report_out_of_range(capsys):
+    # The command refuses a zero coordinate; to the library (0, 1) is the
+    # unknot.
+    assert main(["report", "0", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: need nonzero p, q, got (0, 1)\n")
+    assert report(0, 1) == report(1, 1)
 
 
 def test_family_table():
@@ -167,7 +172,7 @@ def test_write_rows_rejects_unknown_format():
         write_rows([], io.StringIO(), "xml")
 
 
-def test_family_table_makes_rows_lazily(monkeypatch):
+def test_family_table_makes_rows_lazily(capsys, monkeypatch):
     made = []
 
     def counted(p, q, _report=report):
@@ -175,13 +180,19 @@ def test_family_table_makes_rows_lazily(monkeypatch):
         return _report(p, q)
 
     monkeypatch.setattr(reports, "report", counted)
-    rows = family_table(FAMILY_MAX_K)
+    rows = family_table(10 ** 999)
     assert made == []
     assert next(rows).p == 4 and made == [(4, 3)]
-    with pytest.raises(InputError, match="need 2 <= k_max <= 1000"):
-        family_table(FAMILY_MAX_K + 1)
-    with pytest.raises(InputError, match="need 2 <= k_max <= 1000"):
-        family_table(1)
+    # k_max is the command's limit, checked before the first row.
+    assert main(["table", "--family", "2k", "--kmax", str(FAMILY_MAX_K),
+                 "--csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == FAMILY_MAX_K
+    made.clear()
+    for k_max in (1, FAMILY_MAX_K + 1):
+        assert main(["table", "--family", "2k", "--kmax", str(k_max)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: need 2 <= k_max <= 1000, got %d\n" % k_max)
+    assert made == []
 
 
 def test_report_computes_each_invariant_once(monkeypatch):
