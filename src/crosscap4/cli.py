@@ -11,6 +11,9 @@ closes stdout early (`| head -1`) ends the command quietly with exit 0.
 Every command takes integer arguments of at most MAX_DIGITS digits.  Each
 command's other limits live here too and bound only what it prints, so the
 library takes inputs of any size; only torus.alexander bounds its own work.
+COMMANDS maps each command to its help line, handler and arguments, and
+main builds the argparse tree for the named command alone; help, a missing
+or an unknown command get the whole tree.
 """
 
 import argparse
@@ -212,72 +215,72 @@ def _cmd_audit(args, out):
     return 0
 
 
-def _add_pq(sub):
-    sub.add_argument("p", type=int)
-    sub.add_argument("q", type=int)
+_PQ = [(("p",), dict(type=int)), (("q",), dict(type=int))]
+_FLAG = dict(action="store_true")
+
+# Each command's help line, handler and arguments, in the order `-h` lists
+# them.  An argument is (flags, kwargs) for add_argument; a list of them is
+# a mutually exclusive group.
+COMMANDS = {
+    "report": ("bound certificate for T(p,q)", _cmd_report,
+               [*_PQ, (("--json",), _FLAG)]),
+    "table": ("family table", _cmd_table,
+              [(("--family",), dict(required=True, choices=["2k"])),
+               (("--kmax",), dict(type=int, required=True)),
+               [(("--csv",), _FLAG), (("--json",), _FLAG)]]),
+    "scan": ("reports for all coprime q < p <= M", _cmd_scan,
+             [(("--max",), dict(type=int, required=True)),
+              (("--csv",), _FLAG)]),
+    "pinch": ("pinch-move trace", _cmd_pinch,
+              [*_PQ, (("--gamma3",), _FLAG)]),
+    "signature": ("both signature engines", _cmd_signature, _PQ),
+    "alexander": ("Alexander polynomial and t0", _cmd_alexander, _PQ),
+    "dinv": ("d-invariants of +-1-surgery", _cmd_dinv, _PQ),
+    "profile": ("per-framing lower bounds", _cmd_profile,
+                [*_PQ,
+                 (("--from",), dict(dest="n_from", type=int, required=True)),
+                 (("--to",), dict(dest="n_to", type=int, required=True)),
+                 (("--csv",), _FLAG)]),
+    "audit": ("exact replay of the cobordism inequality chain", _cmd_audit,
+              [((flag,), dict(type=int, required=True))
+               for flag in ("--g", "--m", "--d")]),
+}
 
 
-def build_parser():
+def build_parser(names=COMMANDS):
+    """The argparse tree for the commands in `names`."""
     parser = argparse.ArgumentParser(
         prog="crosscap4",
         description="Certified bounds for the nonorientable four-ball genus "
                     "of torus knots.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("report", help="bound certificate for T(p,q)")
-    _add_pq(s)
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=_cmd_report)
-
-    s = subs.add_parser("table", help="family table")
-    s.add_argument("--family", required=True, choices=["2k"])
-    s.add_argument("--kmax", type=int, required=True)
-    fmt = s.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true")
-    fmt.add_argument("--json", action="store_true")
-    s.set_defaults(func=_cmd_table)
-
-    s = subs.add_parser("scan", help="reports for all coprime q < p <= M")
-    s.add_argument("--max", type=int, required=True)
-    s.add_argument("--csv", action="store_true")
-    s.set_defaults(func=_cmd_scan)
-
-    s = subs.add_parser("pinch", help="pinch-move trace")
-    _add_pq(s)
-    s.add_argument("--gamma3", action="store_true")
-    s.set_defaults(func=_cmd_pinch)
-
-    s = subs.add_parser("signature", help="both signature engines")
-    _add_pq(s)
-    s.set_defaults(func=_cmd_signature)
-
-    s = subs.add_parser("alexander", help="Alexander polynomial and t0")
-    _add_pq(s)
-    s.set_defaults(func=_cmd_alexander)
-
-    s = subs.add_parser("dinv", help="d-invariants of +-1-surgery")
-    _add_pq(s)
-    s.set_defaults(func=_cmd_dinv)
-
-    s = subs.add_parser("profile", help="per-framing lower bounds")
-    _add_pq(s)
-    s.add_argument("--from", dest="n_from", type=int, required=True)
-    s.add_argument("--to", dest="n_to", type=int, required=True)
-    s.add_argument("--csv", action="store_true")
-    s.set_defaults(func=_cmd_profile)
-
-    s = subs.add_parser("audit", help="exact replay of the cobordism "
-                                      "inequality chain")
-    s.add_argument("--g", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.set_defaults(func=_cmd_audit)
-
+    # A partial tree still lists every command in its usage line.  The full
+    # tree leaves the metavar unset, since argparse words its "required" and
+    # "invalid choice" errors from it.
+    metavar = (None if len(names) == len(COMMANDS)
+               else "{%s}" % ",".join(COMMANDS))
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=metavar)
+    for name in names:
+        help_text, func, arguments = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = sub.add_mutually_exclusive_group()
+                for flags, kwargs in arg:
+                    group.add_argument(*flags, **kwargs)
+            else:
+                flags, kwargs = arg
+                sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Build only the named command's parser; anything else (-h, no command,
+    # an unknown one) needs the whole tree for its help or error.
+    parser = build_parser([c for c in argv[:1] if c in COMMANDS] or COMMANDS)
     args = parser.parse_args(argv)
     try:
         for v in vars(args).values():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -149,6 +150,64 @@ def test_table_unknown_family_exits_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+# Help, usage and parse errors: no command, unknown or misspelt commands,
+# options before the command, `--`, missing, malformed, unknown and
+# conflicting arguments, and two inputs that parse.
+ARGPARSE_EDGES = [
+    [], ["-h"], ["--help"], ["--"], ["-x"], ["bogus"], ["rep"], ["Report"],
+    ["-h", "report"], ["--", "report", "4", "3"], ["report", "--", "4", "3"],
+    ["report"], ["report", "-h"], ["report", "4"], ["report", "x", "3"],
+    ["report", "4", "3", "-h"], ["report", "4", "3", "--mirror"],
+    ["report", "4", "3", "--json", "extra"], ["report", "4", "3", "--json"],
+    ["table", "-h"], ["table", "--family", "2k"],
+    ["table", "--family", "3k", "--kmax", "5"],
+    ["table", "--kmax", "x", "--family", "2k"],
+    ["table", "--family", "2k", "--kmax", "5", "--csv", "--json"],
+    ["scan"], ["scan", "--max"], ["scan", "--max", "5", "--json"],
+    ["pinch", "-h"], ["pinch", "4", "3", "--gamma3=1"],
+    ["signature", "6"], ["signature", "6", "5"], ["alexander", "-h"],
+    ["dinv", "a", "b"], ["profile", "-h"], ["profile", "4", "3", "--from", "1"],
+    ["profile", "21", "8", "--from", "0", "--to", "1", "--mirror"],
+    ["audit", "-h"], ["audit", "--g", "1"],
+]
+
+
+def run_to_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", ARGPARSE_EDGES, ids=str)
+def test_one_command_parser_reads_as_the_whole_tree(capsys, monkeypatch,
+                                                    argv, columns):
+    # main builds only the named command's parser; its exit code, help,
+    # usage and error text must equal those of the parser for every command.
+    monkeypatch.setenv("COLUMNS", columns)
+    shipped = run_to_exit(capsys, argv)
+    whole_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *_: whole_tree())
+    assert run_to_exit(capsys, argv) == shipped
+
+
+@pytest.mark.parametrize("argv, built", [(["signature", "6", "5"], 1),
+                                         (["-h"], 9)])
+def test_main_builds_only_the_named_command(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run_to_exit(capsys, argv)[0] == 0
+    assert len(names) == built
+
+
 def test_scan(capsys):
     code, out, _ = run(capsys, "scan", "--max", "6")
     assert code == 0
@@ -225,9 +284,10 @@ def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
     # A POSITIVE batch formats its start pairs and its last landing;
     # small batches put a boundary after every step of short walks.  The
     # report trace reads the same batch size, so it is cut there too.  One
-    # parser serves every case: building it would take most of the time.
+    # parser serves every case: building one per case would about double
+    # the test's time.
     monkeypatch.setattr(pinch, "STEP_BATCH", batch)
-    parser = cli.build_parser()
+    parser = cli.build_parser(["pinch"])
     cases = [(p, q, gamma3) for p in range(2, 100) for q in range(1, p)
              if math.gcd(p, q) == 1
              for gamma3 in (False, True)

@@ -55,10 +55,11 @@ def cli_digest(argv_lists):
 
 @pytest.fixture
 def one_parser(monkeypatch):
-    # Building the argparse tree costs more than most of these calls; one
-    # parser serves them all, since parse_args keeps no state between calls.
+    # Even one command's parser costs more to build than most of these
+    # calls; the whole tree, built once, serves them all, since parse_args
+    # keeps no state between calls.
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda *_: parser)
 
 
 def test_cli_output_is_byte_identical(one_parser):
