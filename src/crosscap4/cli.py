@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from . import bounds, heegaard, pinch, reports, torus
+from . import bounds, heegaard, oracle, pinch, reports, torus
 from .errors import ConsistencyError, InputError
 from .torus import canonicalize
 
@@ -48,9 +48,13 @@ PINCH_MAX_P = 10 ** 6
 # and with --csv, in 15 MB, on a 2-vCPU Xeon VM.
 FAMILY_MAX_K = 1000
 
-# One row per framing, streamed: 10^6 rows of a small knot take 2 s and
-# 15 MB (2-vCPU Xeon); a row grows with the digits of p and q.
+# One row per framing, streamed: four integers about as long as p*q + |n|,
+# so profile takes at most PROFILE_MAX_DIGITS // (digits of p*q + |n|)
+# framings, and never over PROFILE_MAX_ROWS.  10^6 rows of a small knot
+# take 1.8-2.4 s and print 26-61 MB; 5,000 rows at 1,000-digit p and q, or
+# 10,000 at a 1,000-digit n, 0.7-0.9 s and 19-39 MB; each 15 MB (2-vCPU VM).
 PROFILE_MAX_ROWS = 10 ** 6
+PROFILE_MAX_DIGITS = 10 ** 7
 
 
 def _check_nonzero(p, q):
@@ -153,7 +157,7 @@ def _cmd_pinch(args, out):
 def _cmd_signature(args, out):
     _check_nonzero(args.p, args.q)
     rec = torus.sigma_rec(args.p, args.q)
-    lat = torus.sigma_lattice(args.p, args.q)
+    lat = oracle.sigma_lattice(args.p, args.q)
     print("recursion: %d" % rec, file=out)
     print("lattice:   %d" % lat, file=out)
     if rec != lat:
@@ -164,10 +168,10 @@ def _cmd_signature(args, out):
 
 def _cmd_alexander(args, out):
     delta = torus.alexander(args.p, args.q)
-    t, oracle = heegaard.t0(args.p, args.q), torus.alexander_t0(delta)
-    if t != oracle:
+    t, coeffs = heegaard.t0(args.p, args.q), oracle.alexander_t0(delta)
+    if t != coeffs:
         raise ConsistencyError("t0 engines disagree: floor-sum %d vs "
-                               "Alexander coefficients %d" % (t, oracle))
+                               "Alexander coefficients %d" % (t, coeffs))
     print(torus.alexander_text(delta), file=out)
     print("t0 = %d" % t, file=out)
     return 0
@@ -187,9 +191,11 @@ def _cmd_profile(args, out):
     if args.n_from > args.n_to:
         raise InputError("empty framing window [%d, %d]"
                          % (args.n_from, args.n_to))
-    if args.n_to - args.n_from >= PROFILE_MAX_ROWS:
+    digits = len(str(K.p * K.q + max(abs(args.n_from), abs(args.n_to))))
+    most = min(PROFILE_MAX_ROWS, PROFILE_MAX_DIGITS // digits)
+    if args.n_to - args.n_from >= most:
         raise InputError("profile accepts at most %d framings, got %d"
-                         % (PROFILE_MAX_ROWS, args.n_to - args.n_from + 1))
+                         % (most, args.n_to - args.n_from + 1))
     rows = bounds.framed_profile(K, args.n_from, args.n_to)
     if args.csv:
         out.write("n,sig_bound,d_bound,combined\n")

@@ -19,7 +19,7 @@ def t0(p, q):
     T(p,q) is an L-space knot with semigroup <p, q>, so t0 = V_0 counts the
     semigroup elements a*p + b*q (a, b >= 0) below g = (p-1)(q-1)/2.  For
     each a, the b's number floor((g-1-a*p)/q) + 1, which sums to one
-    floor_sum: O(log pq).  alexander_t0(alexander(p, q)) in torus.py is
+    floor_sum: O(log pq).  oracle.alexander_t0(torus.alexander(p, q)) is
     the independent oracle.  Raises InputError for a negative argument.
     """
     check_pair("t0", p, q)

@@ -25,9 +25,9 @@ from fractions import Fraction
 
 from crosscap4.cli import main
 from crosscap4.errors import ConsistencyError, InputError
+from crosscap4.oracle import alexander_t0, sigma_lattice
 from crosscap4.reports import BoundReport
-from crosscap4.torus import (Hand, TorusKnotClass, alexander, alexander_t0,
-                             sigma_lattice)
+from crosscap4.torus import Hand, TorusKnotClass, alexander
 
 
 def mirror(K):

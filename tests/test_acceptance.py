@@ -11,9 +11,10 @@ from itertools import chain
 from crosscap4.bounds import invariants, obstruction_audit
 from crosscap4.cli import main
 from crosscap4.heegaard import d_b_circle_bundle, t0
+from crosscap4.oracle import sigma_lattice
 from crosscap4.pinch import pinch_runs, run_batches
 from crosscap4.reports import family_table, json_parts, report
-from crosscap4.torus import alexander, canonicalize, sigma_lattice, sigma_rec
+from crosscap4.torus import alexander, canonicalize, sigma_rec
 from oracles import (alexander_family, d_minus1_alternating,
                      minmax_over_framings)
 

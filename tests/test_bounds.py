@@ -132,6 +132,23 @@ def test_framed_profile_row_limit(capsys, monkeypatch):
         2, "", "error: profile accepts at most 3 framings, got 4\n")
 
 
+@pytest.mark.parametrize("p, q, n, digits", [
+    (10 ** 999 + 1, 10 ** 999, 0, 1999),
+    (4, 3, 10 ** 999, 1000),
+], ids=["long knot", "long framing"])
+def test_framed_profile_digit_limit(capsys, monkeypatch, p, q, n, digits):
+    # Rows of long integers leave fewer framings: here 3, at a budget just
+    # under four rows' digits of p*q + |n|.
+    monkeypatch.setattr(cli, "PROFILE_MAX_DIGITS", 4 * digits - 1)
+    argv = ["profile", str(p), str(q), "--from", str(n), "--to"]
+    assert cli.main(argv + [str(n + 2)]) == 0
+    out, err = capsys.readouterr()
+    assert (out.count("\n"), err) == (4, "")  # header and 3 rows
+    assert cli.main(argv + [str(n + 3)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: profile accepts at most 3 framings, got 4\n")
+
+
 def test_framed_profile_makes_rows_lazily(capsys):
     K = canonicalize(4, 3)
     rows = framed_profile(K, 0, 10 ** 999)

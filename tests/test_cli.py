@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crosscap4
-from crosscap4 import cli, heegaard, pinch, reports, torus
+from crosscap4 import cli, heegaard, oracle, pinch, reports, torus
 from crosscap4.cli import (FAMILY_MAX_K, MAX_DIGITS, PINCH_MAX_P,
-                           PROFILE_MAX_ROWS, SCAN_MAX, main)
+                           PROFILE_MAX_DIGITS, PROFILE_MAX_ROWS, SCAN_MAX,
+                           main)
 from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.pinch import STEP_BATCH
 from crosscap4.reports import CSV, write_rows
@@ -94,7 +95,7 @@ def test_report_invalid_input(capsys):
 
 
 @pytest.mark.parametrize("fn", [
-    reports.report, torus.canonicalize, torus.sigma_rec, torus.sigma_lattice,
+    reports.report, torus.canonicalize, torus.sigma_rec, oracle.sigma_lattice,
     heegaard.t0, torus.alexander])
 def test_not_coprime_message(fn):
     with pytest.raises(InputError) as exc:
@@ -465,6 +466,9 @@ def test_audit_out_of_range(capsys):
     ["table", "--family", "2k", "--kmax", str(FAMILY_MAX_K + 1)],
     ["scan", "--max", str(SCAN_MAX + 1)],
     ["profile", "4", "3", "--from", "1", "--to", str(PROFILE_MAX_ROWS + 1)],
+    # 1,000-digit p and q: rows of 2,000-digit integers
+    ["profile", str(10 ** MAX_DIGITS - 1), str(10 ** MAX_DIGITS - 2),
+     "--from", "0", "--to", str(PROFILE_MAX_DIGITS // (2 * MAX_DIGITS))],
     ["alexander", "-3", "2"],
     ["alexander", "3", "-2"],
     ["dinv", str(BIG + 1), str(BIG)],

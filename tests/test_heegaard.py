@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crosscap4.errors import InputError
 from crosscap4.heegaard import d_b_circle_bundle, t0
+from crosscap4.oracle import alexander_t0
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
-                             alexander_t0, sigma_rec)
+                             sigma_rec)
 from oracles import d_minus1_alternating, dinv_numbers, mirror, t0_lens
 
 

@@ -10,9 +10,9 @@ import crosscap4
 from crosscap4.bounds import invariants
 from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.heegaard import t0
+from crosscap4.oracle import alexander_t0, sigma_lattice
 from crosscap4.torus import (Hand, TorusKnotClass, UNKNOT, alexander,
-                             alexander_t0, alexander_text, canonicalize,
-                             sigma_lattice, sigma_rec)
+                             alexander_text, canonicalize, sigma_rec)
 from oracles import alexander_family, mirror
 
 
