@@ -11,15 +11,18 @@ closes stdout early (`| head -1`) ends the command quietly with exit 0.
 Every command takes integer arguments of at most MAX_DIGITS digits.  Each
 command's other limits live here too and bound only what it prints, so the
 library takes inputs of any size; only torus.alexander bounds its own work.
-COMMANDS maps each command to its help line, handler and arguments, and
-main builds the argparse tree for the named command alone; help, a missing
-or an unknown command get the whole tree.
+COMMANDS maps each command to its help line, handler and arguments.  main
+parses a plain command line (see _plain) from COMMANDS alone, and imports
+argparse only for the rest: help, usage and errors, and the forms it also
+accepts (abbreviations, `--opt=value`, negative values, `--`).  argparse
+then builds the tree for the named command alone; help, a missing or an
+unknown command get the whole tree.
 """
 
-import argparse
 import math
 import os
 import sys
+import types
 
 from . import bounds, heegaard, oracle, pinch, reports, torus
 from .errors import ConsistencyError, InputError
@@ -253,8 +256,72 @@ COMMANDS = {
 }
 
 
+def _plain(argv):
+    """The namespace argparse makes of `argv` when argv is a command and its
+    arguments in plain form, else None.  Plain form: exact option names, each
+    given at most once; values that do not start with "-", that convert with
+    the argument's type and pass its choices; the right number of
+    positionals; every required option, and at most one option of each
+    mutually exclusive group.  Reads only COMMANDS."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    options, positionals, groups = {}, [], []
+    for arg in arguments:
+        for flags, kwargs in arg if isinstance(arg, list) else [arg]:
+            if not flags[0].startswith("-"):
+                positionals.append((flags[0], kwargs))
+                continue
+            dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+            args[dest] = (False if kwargs.get("action") == "store_true"
+                          else None)
+            options.update((flag, (dest, kwargs)) for flag in flags)
+        if isinstance(arg, list):
+            groups.append({options[flags[0]][0] for flags, _ in arg})
+    given, words, tokens = set(), [], iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+                continue
+            dest, kwargs = options.get(token, (None, None))
+            if dest is None or dest in given:
+                return None
+            given.add(dest)
+            if kwargs.get("action") == "store_true":
+                args[dest] = True
+            else:  # a missing value reads as "-", which is no plain value
+                args[dest] = _value(next(tokens, "-"), kwargs)
+        if len(words) != len(positionals):
+            return None
+        for word, (dest, kwargs) in zip(words, positionals):
+            args[dest] = _value(word, kwargs)
+    except ValueError:
+        return None
+    if any(kwargs.get("required") and dest not in given
+           for dest, kwargs in options.values()):
+        return None
+    if any(len(group & given) > 1 for group in groups):
+        return None
+    return types.SimpleNamespace(**args)
+
+
+def _value(word, kwargs):
+    """`word` converted as argparse converts an argument's value; raises
+    ValueError where argparse would not take it as a plain value."""
+    if word.startswith("-"):
+        raise ValueError(word)
+    value = kwargs.get("type", str)(word)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(word)
+    return value
+
+
 def build_parser(names=COMMANDS):
     """The argparse tree for the commands in `names`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="crosscap4",
         description="Certified bounds for the nonorientable four-ball genus "
@@ -284,10 +351,11 @@ def build_parser(names=COMMANDS):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # Build only the named command's parser; anything else (-h, no command,
-    # an unknown one) needs the whole tree for its help or error.
-    parser = build_parser([c for c in argv[:1] if c in COMMANDS] or COMMANDS)
-    args = parser.parse_args(argv)
+    # A plain command line needs no parser.  For anything else build only
+    # the named command's parser, or, for -h, no command or an unknown one,
+    # the whole tree, which words their help or error.
+    args = _plain(argv) or build_parser(
+        [c for c in argv[:1] if c in COMMANDS] or COMMANDS).parse_args(argv)
     try:
         for v in vars(args).values():
             if isinstance(v, int) and abs(v) >= 10 ** MAX_DIGITS:

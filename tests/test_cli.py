@@ -195,9 +195,13 @@ def test_one_command_parser_reads_as_the_whole_tree(capsys, monkeypatch,
     assert run_to_exit(capsys, argv) == shipped
 
 
-@pytest.mark.parametrize("argv, built", [(["signature", "6", "5"], 1),
-                                         (["-h"], 9)])
-def test_main_builds_only_the_named_command(capsys, monkeypatch, argv, built):
+@pytest.mark.parametrize("argv, built, code", [
+    (["signature", "6", "5"], 0, 0),  # plain: parsed from COMMANDS
+    (["signature", "6"], 1, 2),  # the named command's parser words the error
+    (["-h"], 9, 0),
+])
+def test_main_builds_only_the_named_command(capsys, monkeypatch, argv, built,
+                                            code):
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -205,8 +209,83 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch, argv, built):
         names.append(name)
         return add_parser(self, name, **kwargs)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert run_to_exit(capsys, argv)[0] == 0
+    assert run_to_exit(capsys, argv)[0] == code
     assert len(names) == built
+
+
+def argparse_vars(argv):
+    """vars() of the whole tree's namespace for argv, or None where argparse
+    prints help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_plain_is_argparse(argv):
+    plain = cli._plain(argv)
+    assert plain is None or vars(plain) == argparse_vars(argv), argv
+
+
+# Plain command lines, which main parses without argparse: the benchmark
+# workloads' and one of each other shape.
+PLAIN = [
+    ["scan", "--max", "70", "--csv"],
+    ["table", "--family", "2k", "--kmax", "200", "--json"],
+    ["signature", "2999", "2993"],
+    ["pinch", "121091", "121090"],
+    ["report", "20001", "20000", "--json"],
+    ["pinch", "2998", "3", "--gamma3"],
+    ["profile", "21", "8", "--from", "0", "--to", "5", "--csv"],
+    ["audit", "--g", "1", "--m", "2", "--d", "0"],
+]
+FLAGS = sorted({flag for _, _, arguments in cli.COMMANDS.values()
+                for arg in arguments
+                for flags, _ in (arg if isinstance(arg, list) else [arg])
+                for flag in flags if flag.startswith("-")})
+# Command names, flags and values, and what only argparse reads:
+# `--opt=value`, an abbreviation, help, `--`, a negative number, a leading
+# space, an underscore, a word, a choice not offered and an int too long
+# for int() to convert.
+TOKENS = [*cli.COMMANDS, *FLAGS, "4", "--kmax=5", "--js", "-h", "--", "-3",
+          " 6", "1_0", "x", "2k", "3k", "1" * 4301]
+
+
+def edited(argv, edits):
+    """argv with each (i, token) of edits applied in turn: token inserted
+    at i, or, for None, the token at i deleted (i taken mod the length)."""
+    argv = list(argv)
+    for i, token in edits:
+        if token is not None:
+            argv.insert(i % (len(argv) + 1), token)
+        elif argv:
+            del argv[i % len(argv)]
+    return argv
+
+
+# Free token strings are seldom plain, so lines a few edits away from a
+# plain one are drawn too: plain or not, they probe where the two differ.
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=9) |
+       st.builds(edited, st.sampled_from(PLAIN),
+                 st.lists(st.tuples(st.integers(0, 9),
+                                    st.none() | st.sampled_from(TOKENS)),
+                          max_size=3)))
+def test_plain_parse_is_argparse(argv):
+    assert_plain_is_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_EDGES, ids=str)
+def test_plain_parse_is_argparse_on_edges(argv):
+    assert_plain_is_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+def test_plain_command_lines_need_no_argparse(argv):
+    assert cli._plain(argv) is not None
+    assert_plain_is_argparse(argv)
 
 
 def test_scan(capsys):

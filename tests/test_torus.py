@@ -265,9 +265,34 @@ def test_cli_import_leaves_numpy_unloaded():
         {"crosscap4"}
 
 
-@pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["json", "dataclasses", "inspect",
+                                    "argparse", "gettext", "locale"])
 def test_cli_import_leaves_module_unloaded(module):
     # reports formats JSON itself, so the stdlib encoder is only a test
     # oracle; the records are NamedTuples, so dataclasses and the inspect
-    # module it loads stay out of start-up.
+    # module it loads stay out of start-up.  argparse, and the gettext and
+    # locale it loads, wait for a command line that is not plain.
     assert module not in cli_import_loads()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["table", "--family", "2k", "--kmax", "3", "--json"], 0),
+    (["signature", "6"], 2),  # argparse words the error
+])
+def test_only_a_command_line_that_is_not_plain_loads_argparse(argv, code):
+    src = os.path.dirname(os.path.dirname(crosscap4.__file__))
+    script = ("import contextlib, io, sys; from crosscap4.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              "    try:\n        code = main(%r)\n"
+              "    except SystemExit as exc:\n        code = exc.code\n"
+              "print(code, *{'argparse', 'locale'} & set(sys.modules))"
+              % (argv,))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+    assert int(out[0]) == code
+    if code == 0:
+        assert out[1:] == []
+    else:
+        assert "argparse" in out[1:]
