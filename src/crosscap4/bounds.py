@@ -10,8 +10,7 @@ n - 2*d(-1 surgery).  Their max over n, minimized, reproduces the closed
 form.
 """
 
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ConsistencyError, InputError
 from .heegaard import d_b_circle_bundle, t0
@@ -52,18 +51,11 @@ def framed_profile(K, n_lo, n_hi):
             ((n, abs(s - n), n - 2 * dm1) for n in range(n_lo, n_hi + 1)))
 
 
-class AuditRecord(NamedTuple):
-    g: int
-    m: int
-    n: int
-    a: int
-    sign: int
-    c1sq_direct: Fraction
-    c1sq_reduced: Fraction
-    pairing: int
-    eq2_lhs: Fraction
-    eq2_rhs: Fraction
-    consistent: bool
+# Every field is an int but consistent, a bool, and the Fractions
+# c1sq_direct, c1sq_reduced, eq2_lhs and eq2_rhs.
+AuditRecord = namedtuple("AuditRecord", [
+    "g", "m", "n", "a", "sign", "c1sq_direct", "c1sq_reduced", "pairing",
+    "eq2_lhs", "eq2_rhs", "consistent"])
 
 
 # Intersection form of the handle picture: a (-1)-sphere plus a hyperbolic
@@ -84,6 +76,8 @@ def obstruction_audit(g, m, d):
     pairing of c1 with the surface class equals n - 2g; and the definite-
     cobordism inequality reduces identically to e(F)/2 <= 2d + b1(F).
     """
+    from fractions import Fraction  # only the audit needs rationals
+
     if g < 0 or m < 1 or d < 0:
         raise InputError("need g >= 0, m >= 1, d >= 0 (got g=%d, m=%d, d=%d)"
                          % (g, m, d))

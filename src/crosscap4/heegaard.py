@@ -3,10 +3,9 @@
 Torus knots admit positive lens space surgeries, so the d-invariants of
 their (+-1)-surgeries are read off from the torsion coefficient t0
 of the Alexander polynomial; bounds.invariants says which hand gets
-which sign.  Rationals are exact (fractions.Fraction).
+which sign.  d_b_circle_bundle's rational is exact: it imports
+fractions.Fraction at the call, so only the audit path loads it.
 """
-
-from fractions import Fraction
 
 from .errors import InputError
 from .numtheory import floor_sum
@@ -39,4 +38,5 @@ def d_b_circle_bundle(g, n):
         raise InputError("need g >= 0 and n >= 1 (got g=%d, n=%d)" % (g, n))
     if n <= 2 * g:
         raise InputError("formula requires n > 2g (got n=%d, g=%d)" % (n, g))
+    from fractions import Fraction
     return Fraction(1, 4) - Fraction(g * g, n) - Fraction(n, 4)

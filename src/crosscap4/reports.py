@@ -1,6 +1,6 @@
 """Assembled per-knot certificates and their JSON/CSV/TSV serialization."""
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .bounds import invariants
 from .errors import ConsistencyError
@@ -11,19 +11,12 @@ from .torus import canonicalize
 CSV, TSV, JSON = ",", "\t", "json"
 
 
-class BoundReport(NamedTuple):
-    p: int
-    q: int
-    sigma_right: int
-    sigma_left: int
-    t0: int
-    d_minus1_right: int
-    d_minus1_left: int
-    gamma4_lower: int
-    gamma4_upper: int
-    exact: bool
-    gamma3_upper: Optional[int]
-    pinch_runs: tuple  # the walk's runs (p, q, a, b, kind, n)
+# Every field is an int but exact, a bool; gamma3_upper, None when absent;
+# and pinch_runs, the tuple of the walk's runs (p, q, a, b, kind, n).
+BoundReport = namedtuple("BoundReport", [
+    "p", "q", "sigma_right", "sigma_left", "t0", "d_minus1_right",
+    "d_minus1_left", "gamma4_lower", "gamma4_upper", "exact", "gamma3_upper",
+    "pinch_runs"])
 
 
 # CSV columns are the report fields less the runs: the nine int fields,

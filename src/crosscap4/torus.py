@@ -11,8 +11,8 @@ Alexander polynomial is a map {exponent: coefficient}.
 """
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import ConsistencyError, InputError
 
@@ -22,10 +22,9 @@ class Hand(Enum):
     LEFT = "left"
 
 
-class TorusKnotClass(NamedTuple):
-    p: int
-    q: int
-    hand: Hand = Hand.RIGHT
+class TorusKnotClass(namedtuple("TorusKnotClass", "p q hand",
+                                defaults=(Hand.RIGHT,))):
+    __slots__ = ()
 
     @property
     def is_unknot(self):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscap4 import cli
-from crosscap4.bounds import framed_profile, invariants, obstruction_audit
+from crosscap4.bounds import (AuditRecord, framed_profile, invariants,
+                              obstruction_audit)
 from crosscap4.errors import InputError
 from crosscap4.reports import report
 from crosscap4.torus import Hand, TorusKnotClass, canonicalize, sigma_rec
@@ -176,6 +177,14 @@ class TestObstructionAudit:
         assert rec.pairing == 5
         assert rec.eq2_lhs == 3 and rec.eq2_rhs == 3
         assert rec.consistent
+
+    def test_record_shape(self):
+        assert AuditRecord._fields == (
+            "g", "m", "n", "a", "sign", "c1sq_direct", "c1sq_reduced",
+            "pairing", "eq2_lhs", "eq2_rhs", "consistent")
+        rec = obstruction_audit(1, 2, 0)
+        assert {type(v) for v in (rec.c1sq_direct, rec.c1sq_reduced,
+                                  rec.eq2_lhs, rec.eq2_rhs)} == {Fraction}
 
     def test_out_of_range_guard(self):
         with pytest.raises(InputError, match="need n = 4m-1 > 2g"):

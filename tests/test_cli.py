@@ -267,12 +267,16 @@ def edited(argv, edits):
 
 # Free token strings are seldom plain, so lines a few edits away from a
 # plain one are drawn too: plain or not, they probe where the two differ.
+command_lines = (
+    st.lists(st.sampled_from(TOKENS), max_size=9) |
+    st.builds(edited, st.sampled_from(PLAIN),
+              st.lists(st.tuples(st.integers(0, 9),
+                                 st.none() | st.sampled_from(TOKENS)),
+                       max_size=3)))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(TOKENS), max_size=9) |
-       st.builds(edited, st.sampled_from(PLAIN),
-                 st.lists(st.tuples(st.integers(0, 9),
-                                    st.none() | st.sampled_from(TOKENS)),
-                          max_size=3)))
+@given(command_lines)
 def test_plain_parse_is_argparse(argv):
     assert_plain_is_argparse(argv)
 
@@ -582,3 +586,20 @@ def test_exit_code_contract(cmd, p, q):
         prefix = "error: " if code == 2 else "internal error: "
         assert code in (2, 3) and out.getvalue() == ""
         assert err.startswith(prefix) and err.count("\n") == 1
+
+
+# Whole command lines over all nine commands: argparse's own exits count,
+# as SystemExit, and exit 2 leaves stdout empty whichever parser words it.
+@settings(max_examples=300, deadline=None)
+@given(command_lines)
+def test_exit_code_contract_on_any_command_line(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

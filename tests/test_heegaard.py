@@ -120,6 +120,7 @@ def test_d_b_circle_bundle():
     assert d_b_circle_bundle(0, 1) == 0
     assert d_b_circle_bundle(1, 3) == Fraction(-5, 6)
     assert d_b_circle_bundle(0, 4) == Fraction(-3, 4)
+    assert type(d_b_circle_bundle(0, 1)) is Fraction
     with pytest.raises(InputError, match="formula requires n > 2g"):
         d_b_circle_bundle(1, 2)
     with pytest.raises(InputError, match="need g >= 0 and n >= 1"):

@@ -138,6 +138,13 @@ def test_csv_empty_gamma3():
     assert row.endswith(",true,")
 
 
+def test_bound_report_fields():
+    assert BoundReport._fields == (
+        "p", "q", "sigma_right", "sigma_left", "t0", "d_minus1_right",
+        "d_minus1_left", "gamma4_lower", "gamma4_upper", "exact",
+        "gamma3_upper", "pinch_runs")
+
+
 def scan_reports(m):
     return [report(p, q) for p in range(3, m + 1) for q in range(2, p)
             if math.gcd(p, q) == 1]

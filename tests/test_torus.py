@@ -74,6 +74,15 @@ class TestCanonicalize:
         assert canonicalize(n, u) == canonicalize(u, n) == UNKNOT
 
 
+def test_torus_knot_class_shape():
+    K = TorusKnotClass(5, 3)
+    assert TorusKnotClass._fields == ("p", "q", "hand")
+    assert K.hand is Hand.RIGHT
+    assert K == (5, 3, Hand.RIGHT) and not hasattr(K, "__dict__")
+    assert str(K) == "T(5,3)" and str(K._replace(hand=Hand.LEFT)) == \
+        "mirror T(5,3)"
+
+
 class TestMirror:
     def test_flips_hand(self):
         assert mirror(TorusKnotClass(3, 2, Hand.RIGHT)) == \
@@ -244,16 +253,35 @@ class TestAlexander:
         assert alexander_text({0: -3}) == "-3"
 
 
+def run_fresh(code):
+    """stdout of `code` run by a fresh interpreter without the site hook
+    (-S), which on some installs preloads modules such as typing and re:
+    a guard that they stay unloaded would then pass without testing."""
+    src = os.path.dirname(os.path.dirname(crosscap4.__file__))
+    return subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
 def cli_import_loads():
     """The top-level modules a fresh interpreter loads to import the CLI."""
-    src = os.path.dirname(os.path.dirname(crosscap4.__file__))
-    code = ("import sys; before = {m.split('.')[0] for m in sys.modules}; "
-            "import crosscap4.cli; "
-            "print(*{m.split('.')[0] for m in sys.modules} - before)")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    return set(out.split())
+    return set(run_fresh(
+        "import sys; before = {m.split('.')[0] for m in sys.modules}; "
+        "import crosscap4.cli; "
+        "print(*{m.split('.')[0] for m in sys.modules} - before)").split())
+
+
+def main_loads(argv, modules):
+    """main(argv)'s exit code in a fresh interpreter, its output discarded,
+    and which of modules it has loaded by then."""
+    out = run_fresh(
+        "import contextlib, io, sys; from crosscap4.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n        code = main(%r)\n"
+        "    except SystemExit as exc:\n        code = exc.code\n"
+        "print(code, *set(%r) & set(sys.modules))" % (argv, modules)).split()
+    return int(out[0]), set(out[1:])
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -266,12 +294,16 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 @pytest.mark.parametrize("module", ["json", "dataclasses", "inspect",
-                                    "argparse", "gettext", "locale"])
+                                    "argparse", "gettext", "locale",
+                                    "fractions", "decimal", "numbers",
+                                    "typing", "re"])
 def test_cli_import_leaves_module_unloaded(module):
     # reports formats JSON itself, so the stdlib encoder is only a test
-    # oracle; the records are NamedTuples, so dataclasses and the inspect
-    # module it loads stay out of start-up.  argparse, and the gettext and
-    # locale it loads, wait for a command line that is not plain.
+    # oracle; the records are collections.namedtuples, so typing,
+    # dataclasses and the inspect and re modules they load stay out of
+    # start-up.  argparse, and the gettext and locale it loads, wait for a
+    # command line that is not plain; fractions, and the decimal and
+    # numbers it loads, wait for the audit.
     assert module not in cli_import_loads()
 
 
@@ -280,19 +312,15 @@ def test_cli_import_leaves_module_unloaded(module):
     (["signature", "6"], 2),  # argparse words the error
 ])
 def test_only_a_command_line_that_is_not_plain_loads_argparse(argv, code):
-    src = os.path.dirname(os.path.dirname(crosscap4.__file__))
-    script = ("import contextlib, io, sys; from crosscap4.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()), "
-              "contextlib.redirect_stderr(io.StringIO()):\n"
-              "    try:\n        code = main(%r)\n"
-              "    except SystemExit as exc:\n        code = exc.code\n"
-              "print(code, *{'argparse', 'locale'} & set(sys.modules))"
-              % (argv,))
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout.split()
-    assert int(out[0]) == code
-    if code == 0:
-        assert out[1:] == []
-    else:
-        assert "argparse" in out[1:]
+    got, loaded = main_loads(argv, ["argparse", "locale"])
+    assert got == code
+    assert (loaded == set()) if code == 0 else ("argparse" in loaded)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["audit", "--g", "1", "--m", "2", "--d", "0"], {"fractions"}),
+    (["table", "--family", "2k", "--kmax", "3", "--json"], set()),
+    (["report", "7", "5", "--json"], set()),
+])
+def test_only_the_audit_loads_fractions(argv, loaded):
+    assert main_loads(argv, ["fractions"]) == (0, loaded)
