@@ -14,13 +14,10 @@ library takes inputs of any size; only torus.alexander bounds its own work.
 COMMANDS maps each command to its help line, handler and arguments.  main
 parses a plain command line (see _plain) from COMMANDS alone, and imports
 argparse only for the rest: help, usage and errors, and the forms it also
-accepts (abbreviations, `--opt=value`, negative values, `--`).  argparse
-then builds the tree for the named command alone; help, a missing or an
-unknown command get the whole tree.
+accepts (abbreviations, `--opt=value`, negative values, `--`).
 """
 
 import math
-import os
 import sys
 import types
 
@@ -224,34 +221,34 @@ def _cmd_audit(args, out):
     return 0
 
 
-_PQ = [(("p",), dict(type=int)), (("q",), dict(type=int))]
+_PQ = [("p", dict(type=int)), ("q", dict(type=int))]
 _FLAG = dict(action="store_true")
 
 # Each command's help line, handler and arguments, in the order `-h` lists
-# them.  An argument is (flags, kwargs) for add_argument; a list of them is
-# a mutually exclusive group.
+# them.  An argument is (flag, kwargs) for add_argument; a list of them is a
+# mutually exclusive group.
 COMMANDS = {
     "report": ("bound certificate for T(p,q)", _cmd_report,
-               [*_PQ, (("--json",), _FLAG)]),
+               [*_PQ, ("--json", _FLAG)]),
     "table": ("family table", _cmd_table,
-              [(("--family",), dict(required=True, choices=["2k"])),
-               (("--kmax",), dict(type=int, required=True)),
-               [(("--csv",), _FLAG), (("--json",), _FLAG)]]),
+              [("--family", dict(required=True, choices=["2k"])),
+               ("--kmax", dict(type=int, required=True)),
+               [("--csv", _FLAG), ("--json", _FLAG)]]),
     "scan": ("reports for all coprime q < p <= M", _cmd_scan,
-             [(("--max",), dict(type=int, required=True)),
-              (("--csv",), _FLAG)]),
+             [("--max", dict(type=int, required=True)),
+              ("--csv", _FLAG)]),
     "pinch": ("pinch-move trace", _cmd_pinch,
-              [*_PQ, (("--gamma3",), _FLAG)]),
+              [*_PQ, ("--gamma3", _FLAG)]),
     "signature": ("both signature engines", _cmd_signature, _PQ),
     "alexander": ("Alexander polynomial and t0", _cmd_alexander, _PQ),
     "dinv": ("d-invariants of +-1-surgery", _cmd_dinv, _PQ),
     "profile": ("per-framing lower bounds", _cmd_profile,
                 [*_PQ,
-                 (("--from",), dict(dest="n_from", type=int, required=True)),
-                 (("--to",), dict(dest="n_to", type=int, required=True)),
-                 (("--csv",), _FLAG)]),
+                 ("--from", dict(dest="n_from", type=int, required=True)),
+                 ("--to", dict(dest="n_to", type=int, required=True)),
+                 ("--csv", _FLAG)]),
     "audit": ("exact replay of the cobordism inequality chain", _cmd_audit,
-              [((flag,), dict(type=int, required=True))
+              [(flag, dict(type=int, required=True))
                for flag in ("--g", "--m", "--d")]),
 }
 
@@ -269,16 +266,16 @@ def _plain(argv):
     args = {"command": argv[0], "func": func}
     options, positionals, groups = {}, [], []
     for arg in arguments:
-        for flags, kwargs in arg if isinstance(arg, list) else [arg]:
-            if not flags[0].startswith("-"):
-                positionals.append((flags[0], kwargs))
+        for flag, kwargs in arg if isinstance(arg, list) else [arg]:
+            if not flag.startswith("-"):
+                positionals.append((flag, kwargs))
                 continue
-            dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+            dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
             args[dest] = (False if kwargs.get("action") == "store_true"
                           else None)
-            options.update((flag, (dest, kwargs)) for flag in flags)
+            options[flag] = dest, kwargs
         if isinstance(arg, list):
-            groups.append({options[flags[0]][0] for flags, _ in arg})
+            groups.append({options[flag][0] for flag, _ in arg})
     given, words, tokens = set(), [], iter(argv[1:])
     try:
         for token in tokens:
@@ -318,32 +315,22 @@ def _value(word, kwargs):
     return value
 
 
-def build_parser(names=COMMANDS):
-    """The argparse tree for the commands in `names`."""
+def build_parser():
+    """The argparse tree of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="crosscap4",
         description="Certified bounds for the nonorientable four-ball genus "
                     "of torus knots.")
-    # A partial tree still lists every command in its usage line.  The full
-    # tree leaves the metavar unset, since argparse words its "required" and
-    # "invalid choice" errors from it.
-    metavar = (None if len(names) == len(COMMANDS)
-               else "{%s}" % ",".join(COMMANDS))
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar=metavar)
-    for name in names:
-        help_text, func, arguments = COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for arg in arguments:
-            if isinstance(arg, list):
-                group = sub.add_mutually_exclusive_group()
-                for flags, kwargs in arg:
-                    group.add_argument(*flags, **kwargs)
-            else:
-                flags, kwargs = arg
-                sub.add_argument(*flags, **kwargs)
+            grouped = isinstance(arg, list)
+            into = sub.add_mutually_exclusive_group() if grouped else sub
+            for flag, kwargs in arg if grouped else [arg]:
+                into.add_argument(flag, **kwargs)
         sub.set_defaults(func=func)
     return parser
 
@@ -351,13 +338,13 @@ def build_parser(names=COMMANDS):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # A plain command line needs no parser.  For anything else build only
-    # the named command's parser, or, for -h, no command or an unknown one,
-    # the whole tree, which words their help or error.
-    args = _plain(argv) or build_parser(
-        [c for c in argv[:1] if c in COMMANDS] or COMMANDS).parse_args(argv)
+    # A plain command line needs no parser; argparse words the rest.
+    args = _plain(argv) or build_parser().parse_args(argv)
     try:
-        for v in vars(args).values():
+        for name, v in vars(args).items():
+            if isinstance(v, list):  # argparse reads a second `--` as []
+                raise InputError("argument %s: invalid int value: '--'"
+                                 % name)
             if isinstance(v, int) and abs(v) >= 10 ** MAX_DIGITS:
                 raise InputError("integer arguments accept at most %d "
                                  "digits" % MAX_DIGITS)
@@ -372,6 +359,7 @@ def main(argv=None):
         return 3
     except BrokenPipeError:
         # The reader is gone; the flush at exit goes to devnull instead.
+        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 

@@ -55,11 +55,12 @@ def cli_digest(argv_lists):
 
 @pytest.fixture
 def one_parser(monkeypatch):
-    # Even one command's parser costs more to build than most of these
-    # calls; the whole tree, built once, serves them all, since parse_args
-    # keeps no state between calls.
+    # Most of these lines are plain and need no parser, but the profile
+    # lines with a negative p or `--from -8` are not: they reach argparse,
+    # whose tree costs more to build than most of these calls.  Built once,
+    # it serves them all, since parse_args keeps no state between calls.
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda *_: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
 
 def test_cli_output_is_byte_identical(one_parser):

@@ -296,14 +296,14 @@ def test_cli_import_leaves_numpy_unloaded():
 @pytest.mark.parametrize("module", ["json", "dataclasses", "inspect",
                                     "argparse", "gettext", "locale",
                                     "fractions", "decimal", "numbers",
-                                    "typing", "re"])
+                                    "typing", "re", "os"])
 def test_cli_import_leaves_module_unloaded(module):
     # reports formats JSON itself, so the stdlib encoder is only a test
     # oracle; the records are collections.namedtuples, so typing,
     # dataclasses and the inspect and re modules they load stay out of
     # start-up.  argparse, and the gettext and locale it loads, wait for a
     # command line that is not plain; fractions, and the decimal and
-    # numbers it loads, wait for the audit.
+    # numbers it loads, wait for the audit; os waits for a closed stdout.
     assert module not in cli_import_loads()
 
 
