@@ -182,6 +182,19 @@ def run_to_exit(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", ARGPARSE_EDGES, ids=str)
+def test_one_command_parser_reads_as_the_whole_tree(capsys, monkeypatch,
+                                                    argv, columns):
+    # main reads a command line with _plain and gives the rest to the whole
+    # tree; its exit code, output, help, usage and error text must equal
+    # those of the whole tree reading every line.
+    monkeypatch.setenv("COLUMNS", columns)
+    shipped = run_to_exit(capsys, argv)
+    monkeypatch.setattr(cli, "_plain", lambda argv: None)
+    assert run_to_exit(capsys, argv) == shipped
+
+
 # argparse's own errors at 80 columns: the usage line lists every command,
 # and an unknown command is checked against the whole list.  A leading ...
 # compares only the last lines, with quotes dropped: newer Pythons print
