@@ -37,8 +37,8 @@ MAX_DIGITS = 1000
 
 # A walk from T(p, q) takes fewer than p steps, in few runs, and `pinch`
 # prints every step and `report` every trace pair: `pinch 1000000 999999`
-# (500,000 steps in one run, streamed) takes 0.3-0.5 s and 15 MB on a
-# 2-vCPU Intel Xeon VM, nearly all of it formatting lines.
+# (500,000 steps in one run, streamed) takes 0.15-0.2 s and 15 MB on a
+# 2-vCPU Intel Xeon VM, most of it printing lines with pinch.text.
 PINCH_MAX_P = 10 ** 6
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
@@ -132,25 +132,25 @@ def _cmd_pinch(args, out):
     if args.gamma3 and (K.p * K.q) % 2:
         raise InputError("in-S^3 continuation needs p*q even, got %s" % (K,))
     _check_walk(K)
-    line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n".__mod__
-    pair = "%d,%d".__mod__
+    line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
     runs = pinch.pinch_runs(K)
     for run in runs:
         _, _, a, b, kind, _ = run
-        # In a POSITIVE run (t, h) = (a, b) and step i's raw landing starts
-        # step i + 1, so a batch's lines pair up its starts and last landing.
-        mid = ") --t=%d,h=%d--> (" % (a, b)
+        # A POSITIVE run has (t, h) = (a, b) on every step: the format
+        # carries them and only the pairs are columns.
+        fixed = "(%%d,%%d) --t=%d,h=%d--> (%%d,%%d)\n" % (a, b)
         for ps, qs, ts, hs, rs, ss in pinch.run_batches(run):
-            if kind == pinch.POSITIVE:
-                starts = [*map(pair, zip(ps, qs)), pair((rs[-1], ss[-1]))]
-                out.write("(" + ")\n(".join(
-                    map(mid.join, zip(starts, starts[1:]))) + ")\n")
-            else:
-                out.write("".join(map(line, zip(ps, qs, ts, hs, rs, ss))))
-    ms = pinch.tail(*pinch.walk_end(K, runs)) if args.gamma3 else ()
-    for lo in range(0, len(ms), pinch.STEP_BATCH):
-        out.write("".join(line((m, 1, m - 1, 0, 2 - m, 1))
-                          for m in ms[lo:lo + pinch.STEP_BATCH]))
+            out.write(pinch.text(fixed, ps, qs, rs, ss)
+                      if kind == pinch.POSITIVE
+                      else pinch.text(line, ps, qs, ts, hs, rs, ss))
+    if args.gamma3:
+        ms = pinch.tail(*pinch.walk_end(K, runs))
+        for lo in range(0, len(ms), pinch.STEP_BATCH):
+            m = ms[lo:lo + pinch.STEP_BATCH]  # steps (m, 1) -> (2 - m, 1)
+            out.write(pinch.text(
+                "(%d,1) --t=%d,h=0--> (%d,1)\n", m,
+                range(m.start - 1, m.stop - 1, m.step),
+                range(2 - m.start, 2 - m.stop, -m.step)))
     return 0
 
 

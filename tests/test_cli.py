@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -392,16 +393,52 @@ def test_pinch_output_equals_step_walk(capsys, argv, bound):
     assert out == oracle_lines(int(argv[0]), int(argv[1]), bound == "gamma3")
 
 
+# Pinned bytes of `pinch`: the sha256 of the whole output, or its last
+# lines.  The digests cover a POSITIVE run then a 4,933-step MIRRORED run,
+# one POSITIVE run of 60,545 steps, and a 500-step tail across two batches.
+PINCH_PINS = [
+    (["pinch", "621645", "414437"], "sha256",
+     "af5bd9cdc7335ca2988385bf494efe53d2ae2ea2477225b7c6d43e810c2a4837"),
+    (["pinch", "121091", "121090"], "sha256",
+     "0344e2b6aa6389aff821c0016bd952e17a879af051d2ad7cd2de57dd017eafa0"),
+    (["pinch", "2998", "3", "--gamma3"], "sha256",
+     "312da2087d1e863ad8fc5f07931a31e8665b53efef9e4cf91b8c2232d8baef1d"),
+    (["pinch", "2998", "3", "--gamma3"], "tail",
+     "(4,1) --t=3,h=0--> (-2,1)\n(2,1) --t=1,h=0--> (0,1)\n"),
+    (["pinch", "1000000", "999999"], "tail", "(4,3) --t=1,h=1--> (2,1)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, pin", PINCH_PINS)
+def test_pinch_pins(capsys, argv, kind, pin):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if kind == "sha256":
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
+    else:  # the last pin.count("\n") lines
+        lines = out.splitlines(keepends=True)
+        assert "".join(lines[-pin.count("\n"):]) == pin
+
+
+def pinch_cases(ps):
+    """(p, q, gamma3) for each coprime pair 1 <= q < p with p in ps:
+    without the in-S^3 continuation, and with it where p*q is even."""
+    return [(p, q, gamma3) for p in ps for q in range(1, p)
+            if math.gcd(p, q) == 1
+            for gamma3 in (False, True)
+            if not gamma3 or p * q % 2 == 0]
+
+
 @pytest.mark.parametrize("batch", [1, 2, 3, STEP_BATCH])
 def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
-    # A POSITIVE batch formats its start pairs and its last landing;
-    # small batches put a boundary after every step of short walks.  The
-    # report trace reads the same batch size, so it is cut there too.
+    # Each batch is one pinch.text call; small batches put a boundary
+    # after every step of short walks.  The report trace reads the same
+    # batch size, so it is cut there too.
     monkeypatch.setattr(pinch, "STEP_BATCH", batch)
-    cases = [(p, q, gamma3) for p in range(2, 100) for q in range(1, p)
-             if math.gcd(p, q) == 1
-             for gamma3 in (False, True)
-             if not gamma3 or p * q % 2 == 0]
+    cases = pinch_cases(range(2, 100))
+    if batch >= 3:  # walks that print on both sides of 1,000, where
+        # pinch.text switches between str and its table of tails
+        cases += pinch_cases(range(990, 1011))
     if batch == 3:  # an 11-step POSITIVE run with (a, b) = (29602, 19735)
         cases.append((621645, 414437, False))
     for p, q, gamma3 in cases:

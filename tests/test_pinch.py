@@ -2,14 +2,14 @@ import math
 from itertools import chain
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crosscap4.bounds import invariants
 from crosscap4.cli import PINCH_MAX_P, main
 from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import (MIRRORED, POSITIVE, STEP_BATCH, landing,
                              pinch_runs, pinch_step, run_batches, tail,
-                             walk_end)
+                             text, walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
@@ -276,3 +276,35 @@ def test_tail_edges():
     assert tail(1, 0) == range(0)
     assert tail(2, 1) == range(2, 0, -2)
     assert report(1, 1).gamma3_upper == 1  # the unknot (1, 0) itself
+
+
+def column(n):
+    """A range of n numbers of any sign and step, up to 10^30 in size,
+    often starting or stepping near 0 or a power of ten, so that it
+    crosses 0, a thousand or a power of ten either way."""
+    near_power = st.builds(lambda k, e: 10 ** k + e,
+                           st.integers(3, 30), st.integers(-9, 9))
+    start = st.one_of(st.integers(-3000, 3000), near_power,
+                      near_power.map(lambda v: -v),
+                      st.integers(-10 ** 30, 10 ** 30))
+    step = st.one_of(st.integers(1, 9), st.integers(10, 2500),
+                     st.integers(1, 10 ** 30))
+    return st.builds(lambda v, d, sign: range(v, v + sign * d * n, sign * d),
+                     start, step, st.sampled_from([1, -1]))
+
+
+GLUE = st.lists(st.text("(,) -=>th1\n", max_size=4), min_size=5,
+                max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 700).flatmap(
+    lambda n: st.lists(column(n), min_size=1, max_size=4)), GLUE)
+@example([range(-1000, 1001)], ["(", ")\n", "", "", ""])
+@example([range(-45, 765, 3)], ["", "\n", "", "", ""])  # crosses 0 by 3s
+@example([range(-1999, 0, 2), range(2997001, 0, -3000)],  # end on -1, 1
+         ["", ",", "\n", "", ""])
+def test_text_equals_the_percent_format(columns, glue):
+    fmt = "%d".join(glue[:len(columns) + 1])
+    assert text(fmt, *columns) == "".join(fmt % row
+                                          for row in zip(*columns))

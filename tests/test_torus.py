@@ -324,3 +324,19 @@ def test_only_a_command_line_that_is_not_plain_loads_argparse(argv, code):
 ])
 def test_only_the_audit_loads_fractions(argv, loaded):
     assert main_loads(argv, ["fractions"]) == (0, loaded)
+
+
+def test_only_pinch_builds_the_table_of_tails():
+    # pinch.text builds its table of "000" to "999" on first use, so the
+    # commands that print no pinch step never pay for it.
+    argvs = [["scan", "--max", "10", "--csv"],
+             ["table", "--family", "2k", "--kmax", "3", "--json"],
+             ["report", "621645", "414437", "--json"],
+             ["pinch", "8", "7"]]
+    out = run_fresh(
+        "import contextlib, io; from crosscap4 import cli, pinch\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    print(pinch._tails.cache_info().currsize)" % argvs)
+    assert out.split() == ["0", "0", "0", "1"]
