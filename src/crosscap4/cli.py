@@ -37,8 +37,9 @@ MAX_DIGITS = 1000
 
 # A walk from T(p, q) takes fewer than p steps, in few runs, and `pinch`
 # prints every step and `report` every trace pair: `pinch 1000000 999999`
-# (500,000 steps in one run, streamed) takes 0.15-0.2 s and 15 MB on a
-# 2-vCPU Intel Xeon VM, most of it printing lines with pinch.text.
+# (500,000 steps in one run, streamed) takes 0.07-0.08 s and 15 MB on a
+# 2-vCPU Intel Xeon VM, about 0.04 s of it interpreter start-up and most
+# of the rest printing lines with pinch.text.
 PINCH_MAX_P = 10 ** 6
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k

@@ -25,15 +25,21 @@ bounds, and run_batches expands a run into its steps as ranges, a batch
 at a time, so no caller makes a Python object per step.
 
 text prints a batch: every printed column is an arithmetic progression,
-so it cuts each column into stretches that stay inside one thousand, and
-a stretch's numbers share one head (sign and str(v // 1000)) and take
-their last three digits as one slice of a table of "000" to "999".  Only
-numbers below 1,000 go through str one at a time.
+so it cuts the batch into blocks where each column keeps one sign and
+digit count, and every row so has one width.  A block's first row,
+formatted with % and repeated into a bytearray, holds every row's glue
+and signs.  Each column's last four digits are then written down the
+rows as strided slices of four 10,000-byte digit planes, one slice per
+plane for each stretch inside one ten thousand, and only the head digits
+that differ from the first row's are rewritten; a column that steps by
+more than SMALL_STEP is instead str of each number, joined once and
+written digit by digit.  Each block is decoded once.  Short blocks, and
+blocks whose every column steps wide, go through % row by row.
 """
 
 import functools
 import math
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import ConsistencyError
 
@@ -127,16 +133,16 @@ def _column(x, d, k, mirrored):
 
 
 # `pinch` and the report trace expand runs STEP_BATCH steps at a time, so
-# no string holds more than that many steps.  Against 4096 pairs per trace
-# string, medians of 10 runs (2-vCPU Xeon VM) stay inside the quartiles:
-# `report 1000000 999999 --json` 0.234 s vs 0.236 s and its text form
-# 0.202 s vs 0.210 s, each peaking at 14.9 MB, 0.4-0.7 MB lower;
-# `table --family 2k --kmax 1000 --json`, which formats one new pair per
-# row, 0.073 s vs 0.077 s, at 14.7 MB both.  Each batch costs text a few
-# slices per column: `pinch 1000000 999999` takes 0.181 s against 0.160 s
-# at 4096 steps a batch, and `pinch 770375 577782`, mostly MIRRORED,
-# 0.092 s against 0.097 s, all at 14.4-14.9 MB.
-STEP_BATCH = 256
+# no string holds more than that many steps.  Subprocess medians of 10
+# runs, stdout to /dev/null (2-vCPU Xeon VM), at 256, 1,024 and 4,096
+# steps a batch: `pinch 1000000 999999` 0.103, 0.073 and 0.068 s;
+# `pinch 770375 577782`, mostly MIRRORED, 0.052, 0.046 and 0.050 s;
+# `report 1000000 999999 --json` 0.209, 0.198 and 0.197 s, and its text
+# form 0.190, 0.182 and 0.183 s; `table --family 2k --kmax 1000 --json`,
+# which formats one new pair per row, 0.063, 0.059 and 0.062 s; each at
+# 14.4-14.6 MB.  A text call costs a few slices per column and block
+# whatever its length, so 256-step batches pay that four times as often.
+STEP_BATCH = 1024
 
 
 def run_batches(run):
@@ -152,41 +158,104 @@ def run_batches(run):
         yield ps, qs, ts, hs, rs, ss
 
 
+# A block of fewer rows than this goes through % row by row.  At 3 to 6
+# columns stepping by 2 to 8, _block takes 1.0-1.2 times the time of % at
+# 24 rows, 0.8-0.9 times at 32 and 0.1 times at 1,024 (2-vCPU Xeon VM).
+MIN_BLOCK_ROWS = 32
+
+# A column whose numbers step by at most this much in size takes its last
+# four digits from the planes of _tails, four slices for each stretch
+# inside one ten thousand; a wider column is str of each number, joined
+# once.  Over 6 columns of 128 and of 1,024 rows, the planes take 0.8 times
+# the time of str at step 400, 0.9-1.1 times at 500 and 1.2-1.3 times at
+# 600.  A block whose columns all step wider goes through %, which is
+# 1.3-1.5 times as fast as str and strided writes for them.
+SMALL_STEP = 500
+
+
 @functools.cache
 def _tails():
-    """The last three digits of every number of 1,000 or more, by value
-    mod 1000, built on the first call: only `pinch` prints with text."""
-    return ["%03d" % i for i in range(1000)]
+    """Digits 0 to 3 of "0000" to "9999", as four planes of 10,000 bytes
+    indexed by value mod 10,000, built on the first call: only `pinch`
+    prints with text."""
+    return tuple(b"".join(bytes([d]) * 10 ** k for d in b"0123456789")
+                 * 10 ** (3 - k) for k in (3, 2, 1, 0))
+
+
+def _cuts(column):
+    """The ends of the stretches of column whose numbers keep one sign and
+    one digit count: the last end is len(column)."""
+    n, d = len(column), column.step
+    i = 0
+    while i < n:
+        v = column[i]
+        top = 10 ** len(str(abs(v)))
+        if v < 0:
+            lo, hi = 1 - top, -(top // 10)
+        else:
+            lo, hi = (top // 10 if top > 10 else 0), top - 1
+        i = min(n, i + ((hi - v) // d if d > 0 else (v - lo) // -d) + 1)
+        yield i
+
+
+def _block(fmt, columns):
+    """The rows of columns, for a block where each column's numbers keep
+    one sign and digit count, so that every row has the width of the
+    first.  The first row, repeated, holds every row's glue and signs;
+    each column's changing digits are then written down the rows with
+    strided slice assignments, and the bytes decoded once."""
+    m = len(columns[0])
+    first = tuple(c[0] for c in columns)
+    buf = bytearray((fmt % first).encode()) * m
+    width = len(buf) // m
+    at = 0  # the end of the column's number in each row
+    for g, c, v in zip(fmt.split("%d"), columns, first):
+        digits = str(abs(v))
+        n = len(digits)
+        at += len(g.encode()) + (v < 0) + n
+        u, du = abs(v), -c.step if v < 0 else c.step  # du steps abs(v)
+        if abs(du) > SMALL_STEP:
+            joined = "".join(map(str, range(u, u + du * m, du))).encode()
+            for k in range(n):
+                buf[at - n + k::width] = joined[k::n]
+            continue
+        planes = _tails()[-n:]
+        head = digits[:-len(planes)]
+        i = 0
+        while i < m:  # a stretch of k rows inside one ten thousand
+            lo = u % 10000
+            k = min(m - i,
+                    (9999 - lo) // du + 1 if du > 0 else lo // -du + 1)
+            end = lo + du * k
+            x = at - len(planes) + width * i
+            for plane in planes:
+                buf[x:x + width * k:width] = plane[lo:end if end >= 0
+                                                   else None:du]
+                x += 1
+            if head:  # rewrite the head digits that differ from row 0's
+                x = at - n + width * i
+                for j, digit in enumerate(str(u // 10000)):
+                    if digit != head[j]:
+                        buf[x + j:x + j + width * k:width] = (
+                            digit.encode() * k)
+            i += k
+            u += du * k
+    return buf.decode()
 
 
 def text(fmt, *columns):
     """The text "".join(fmt % row for row in zip(*columns)), for a format
     whose only conversions are %d and columns that are ranges of one
     length."""
-    glue, table = fmt.split("%d"), _tails()
-    n = len(columns[0])
-    width = 2 * len(columns) + 1  # a row: a head and a tail per column
-    pieces = [glue[-1]] * (width * n)
-    for j, column in enumerate(columns):
-        g, d = glue[j], column.step
-        i = 0
-        while i < n:
-            v = column[i]
-            u = abs(v)
-            if u < 1000:  # the stretch of |v| < 1000: str on each
-                m = min(n - i,
-                        ((999 - v) // d if d > 0 else (v + 999) // -d) + 1)
-                heads, tails = [g] * m, list(map(str, column[i:i + m]))
-            else:  # the stretch of one sign and one thousand
-                du = d if v > 0 else -d  # the step of |v|
-                lo = u % 1000
-                m = min(n - i, ((999 - lo) // du if du > 0
-                                else lo // -du) + 1)
-                end = lo + du * m
-                heads = [g + ("-" if v < 0 else "") + str(u // 1000)] * m
-                tails = table[lo:end if end >= 0 else None:du]
-            k = 2 * j + width * i
-            pieces[k:k + width * m:width] = heads
-            pieces[k + 1:k + 1 + width * m:width] = tails
-            i += m
-    return "".join(pieces)
+    if len(columns[0]) < MIN_BLOCK_ROWS:
+        return "".join(map(fmt.__mod__, zip(*columns)))
+    parts, start = [], 0
+    for end in sorted(set(chain.from_iterable(map(_cuts, columns)))):
+        block = [c[start:end] for c in columns]
+        if (end - start < MIN_BLOCK_ROWS
+                or all(abs(c.step) > SMALL_STEP for c in block)):
+            parts.append("".join(map(fmt.__mod__, zip(*block))))
+        else:
+            parts.append(_block(fmt, block))
+        start = end
+    return "".join(parts)

@@ -385,9 +385,11 @@ def oracle_lines(p, q, gamma3=False):
     (("20001", "20000"), "gamma4"),  # one run of 10,000 > STEP_BATCH
     (("2998", "3", "--gamma3"), "gamma3"),  # a 500-step tail
     (("621645", "414437"), "gamma4"),  # two runs, the second mirrored
+    (("6298", "3", "--gamma3"), "gamma3"),  # a 1,050-step tail
 ])
 def test_pinch_output_equals_step_walk(capsys, argv, bound):
-    assert STEP_BATCH < 10000  # the first case spans several batches
+    # The first case spans several batches, the tail of 6298 3 two.
+    assert STEP_BATCH < 1050 < 2 * STEP_BATCH < 10000
     code, out, err = run(capsys, "pinch", *argv)
     assert (code, err) == (0, "")
     assert out == oracle_lines(int(argv[0]), int(argv[1]), bound == "gamma3")
@@ -395,7 +397,8 @@ def test_pinch_output_equals_step_walk(capsys, argv, bound):
 
 # Pinned bytes of `pinch`: the sha256 of the whole output, or its last
 # lines.  The digests cover a POSITIVE run then a 4,933-step MIRRORED run,
-# one POSITIVE run of 60,545 steps, and a 500-step tail across two batches.
+# one POSITIVE run of 60,545 steps, and a one-step walk then a 500-step
+# tail.
 PINCH_PINS = [
     (["pinch", "621645", "414437"], "sha256",
      "af5bd9cdc7335ca2988385bf494efe53d2ae2ea2477225b7c6d43e810c2a4837"),
@@ -420,6 +423,27 @@ def test_pinch_pins(capsys, argv, kind, pin):
         assert "".join(lines[-pin.count("\n"):]) == pin
 
 
+# Pinned sha256 of whole `report` certificates, whose trace pairs the
+# report trace prints pinch.STEP_BATCH at a time: a POSITIVE run then a
+# 4,933-step MIRRORED run as `--json` and as text, and the text
+# certificate of a 499,999-step trace.
+REPORT_PINS = [
+    (["report", "621645", "414437", "--json"],
+     "3b915b1f0442ccda6ab53d0d0ddbbcba9aff48e15ff56e2bf478f86ae47a349d"),
+    (["report", "1000000", "999999"],
+     "f34fa427307878594b29fb50255b13ec7fbe4a21aec943313d3a1f9e9246f1b6"),
+    (["report", "621645", "414437"],
+     "8e7234926c11936418659bd80a1fda0869ab21c29eb32b668430286674919462"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", REPORT_PINS)
+def test_report_pins(capsys, argv, pin):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def pinch_cases(ps):
     """(p, q, gamma3) for each coprime pair 1 <= q < p with p in ps:
     without the in-S^3 continuation, and with it where p*q is even."""
@@ -437,10 +461,14 @@ def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
     monkeypatch.setattr(pinch, "STEP_BATCH", batch)
     cases = pinch_cases(range(2, 100))
     if batch >= 3:  # walks that print on both sides of 1,000, where
-        # pinch.text switches between str and its table of tails
+        # a column's digit count changes and pinch.text cuts a block
         cases += pinch_cases(range(990, 1011))
     if batch == 3:  # an 11-step POSITIVE run with (a, b) = (29602, 19735)
         cases.append((621645, 414437, False))
+    if batch >= 3:  # runs that cross 10^4 and 10^5, and a MIRRORED run
+        # of 2,000 steps whose p, t and r step by 500
+        cases += [(10001, 10000, False), (100001, 100000, False),
+                  (999999, 4000, False)]
     for p, q, gamma3 in cases:
         argv = ["pinch", str(p), str(q)]
         if gamma3:

@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from crosscap4.bounds import invariants
 from crosscap4.cli import PINCH_MAX_P, main
 from crosscap4.errors import ConsistencyError
-from crosscap4.pinch import (MIRRORED, POSITIVE, STEP_BATCH, landing,
-                             pinch_runs, pinch_step, run_batches, tail,
-                             text, walk_end)
+from crosscap4.pinch import (MIN_BLOCK_ROWS, MIRRORED, POSITIVE,
+                             SMALL_STEP, STEP_BATCH, landing, pinch_runs,
+                             pinch_step, run_batches, tail, text, walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
@@ -236,8 +236,8 @@ def test_runs_family_is_one_run():
 def test_run_batches_cut_a_run():
     run = (20001, 20000, 1, 1, POSITIVE, 10000)
     batches = [list(zip(*c)) for c in run_batches(run)]
-    assert STEP_BATCH == 256
-    assert list(map(len, batches)) == [STEP_BATCH] * 39 + [16]
+    assert STEP_BATCH == 1024
+    assert list(map(len, batches)) == [STEP_BATCH] * 9 + [784]
     assert list(chain.from_iterable(batches)) == [
         (20001 - 2 * i, 20000 - 2 * i, 1, 1, 19999 - 2 * i, 19998 - 2 * i)
         for i in range(10000)]
@@ -286,6 +286,7 @@ def column(n):
                            st.integers(3, 30), st.integers(-9, 9))
     start = st.one_of(st.integers(-3000, 3000), near_power,
                       near_power.map(lambda v: -v),
+                      st.integers(-10 ** 7, 10 ** 7),
                       st.integers(-10 ** 30, 10 ** 30))
     step = st.one_of(st.integers(1, 9), st.integers(10, 2500),
                      st.integers(1, 10 ** 30))
@@ -293,17 +294,45 @@ def column(n):
                      start, step, st.sampled_from([1, -1]))
 
 
-GLUE = st.lists(st.text("(,) -=>th1\n", max_size=4), min_size=5,
-                max_size=5)
+GLUE = st.lists(st.text("(,) -=>th1\n\u2192", max_size=4), min_size=7,
+                max_size=7)
+
+
+def steps(*pairs, n=300):
+    """Columns of n numbers, one for each (start, step)."""
+    return [range(v, v + d * n, d) for v, d in pairs]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 700).flatmap(
-    lambda n: st.lists(column(n), min_size=1, max_size=4)), GLUE)
-@example([range(-1000, 1001)], ["(", ")\n", "", "", ""])
-@example([range(-45, 765, 3)], ["", "\n", "", "", ""])  # crosses 0 by 3s
+@given(st.integers(1, STEP_BATCH + 100).flatmap(
+    lambda n: st.lists(column(n), min_size=1, max_size=6)), GLUE)
+@example([range(-1000, 1001)], ["(", ")\n"])
+@example([range(-45, 765, 3)], ["", "\n"])  # crosses 0 by 3s
 @example([range(-1999, 0, 2), range(2997001, 0, -3000)],  # end on -1, 1
-         ["", ",", "\n", "", ""])
+         ["", ",", "\n"])
+# A column whose digit count changes: after 2 rows, which the % path
+# prints, then after 2 rows of 5 and of 330, and at -100000.
+@example([range(10005, 9000, -3)], ["", "\n"])
+@example([range(99990, 100020, 7)], ["", "\n"])
+@example([range(99990, 102300, 7)], ["", "\n"])
+@example([range(-99950, -100100, -1)], ["\u2192", "\n"])
+# Two head digits change at once, the head being all digits but the
+# last four: 120 -> 119.
+@example([range(120005, 119001, -2), range(1200005, 1199001, -2)],
+         ["(", ",", ")\n"])
+# Negative columns that cross a thousand and ten thousand.
+@example([range(-118005, -117000, 2), range(-1200005, -1198999, 2)],
+         ["", " ", "\n"])
+# Steps either side of 40 and of the cut between the planes and str.
+@example(steps((10 ** 6, -40), (5 * 10 ** 5, 41), (7 * 10 ** 6, -SMALL_STEP),
+               (-3 * 10 ** 6, SMALL_STEP + 1)), ["(", ",", ",", ",", ")\n"])
+# A step of 1,001: alone, then beside a small step.
+@example(steps((10 ** 6, 1001)), ["", "\n"])
+@example(steps((10 ** 6, 1001), (5 * 10 ** 6, -2)), ["", ",", "\n"])
+# Blocks shorter than MIN_BLOCK_ROWS between longer ones: the first column
+# drops to four digits after 5 rows, the second to five after 40.
+@example(steps((10009, -2), (100079, -2), n=MIN_BLOCK_ROWS + 60),
+         ["", ",", "\n"])
 def test_text_equals_the_percent_format(columns, glue):
     fmt = "%d".join(glue[:len(columns) + 1])
     assert text(fmt, *columns) == "".join(fmt % row

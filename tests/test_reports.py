@@ -398,11 +398,11 @@ def test_json_parts_hold_at_most_one_batch():
     check_same_text("".join(parts), json.dumps(oracle_dict(r), indent=2))
 
 
-@pytest.mark.parametrize("steps", [0, 1, 2, 16 * STEP_BATCH - 1,
-                                   16 * STEP_BATCH, 16 * STEP_BATCH + 1,
-                                   32 * STEP_BATCH + 3])
+@pytest.mark.parametrize("steps", [0, 1, 2, 4 * STEP_BATCH - 1,
+                                   4 * STEP_BATCH, 4 * STEP_BATCH + 1,
+                                   8 * STEP_BATCH + 3])
 def test_batched_join_equals_whole_join(steps):
-    # run lengths on each side of a batch boundary, 16 and 32 batches in
+    # run lengths on each side of a batch boundary, 4 and 8 batches in
     r = family_report(steps)
     parts = list(trace_parts(r, " -> ", "(%d,%d)"))
     assert len(parts) == -(-steps // STEP_BATCH) + 1

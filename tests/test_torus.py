@@ -327,16 +327,19 @@ def test_only_the_audit_loads_fractions(argv, loaded):
 
 
 def test_only_pinch_builds_the_table_of_tails():
-    # pinch.text builds its table of "000" to "999" on first use, so the
-    # commands that print no pinch step never pay for it.
+    # pinch.text builds its planes of "0000" to "9999" on first use, so the
+    # commands that print no pinch step never pay for it, nor does a walk
+    # too short for a block (pinch.MIN_BLOCK_ROWS): `pinch 8 7` prints 3
+    # steps, `pinch 200 199` 99.
     argvs = [["scan", "--max", "10", "--csv"],
              ["table", "--family", "2k", "--kmax", "3", "--json"],
              ["report", "621645", "414437", "--json"],
-             ["pinch", "8", "7"]]
+             ["pinch", "8", "7"],
+             ["pinch", "200", "199"]]
     out = run_fresh(
         "import contextlib, io; from crosscap4 import cli, pinch\n"
         "for argv in %r:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    print(pinch._tails.cache_info().currsize)" % argvs)
-    assert out.split() == ["0", "0", "0", "1"]
+    assert out.split() == ["0", "0", "0", "0", "1"]
