@@ -36,10 +36,10 @@ SCAN_MAX = 300
 MAX_DIGITS = 1000
 
 # A walk from T(p, q) takes fewer than p steps, in few runs, and `pinch`
-# prints every step and `report` every trace pair: `pinch 1000000 999999`
-# (500,000 steps in one run, streamed) takes 0.07-0.08 s and 15 MB on a
-# 2-vCPU Intel Xeon VM, about 0.04 s of it interpreter start-up and most
-# of the rest printing lines with pinch.text.
+# prints every step and `report` every trace pair, both through
+# pinch.batches: at p = 10^6 (500,000 steps in one run, streamed) each
+# takes 0.06-0.08 s and 15 MB on a 2-vCPU Intel Xeon VM, about 0.04 s of
+# it interpreter start-up.
 PINCH_MAX_P = 10 ** 6
 
 # Row k walks its k - 1 pinch steps in one run, and its JSON trace prints k
@@ -133,25 +133,22 @@ def _cmd_pinch(args, out):
     if args.gamma3 and (K.p * K.q) % 2:
         raise InputError("in-S^3 continuation needs p*q even, got %s" % (K,))
     _check_walk(K)
-    line = "(%d,%d) --t=%d,h=%d--> (%d,%d)\n"
     runs = pinch.pinch_runs(K)
     for run in runs:
+        ps, qs, ts, hs, rs, ss = pinch.run_columns(run)
         _, _, a, b, kind, _ = run
         # A POSITIVE run has (t, h) = (a, b) on every step: the format
         # carries them and only the pairs are columns.
-        fixed = "(%%d,%%d) --t=%d,h=%d--> (%%d,%%d)\n" % (a, b)
-        for ps, qs, ts, hs, rs, ss in pinch.run_batches(run):
-            out.write(pinch.text(fixed, ps, qs, rs, ss)
-                      if kind == pinch.POSITIVE
-                      else pinch.text(line, ps, qs, ts, hs, rs, ss))
+        out.writelines(
+            pinch.batches("(%%d,%%d) --t=%d,h=%d--> (%%d,%%d)\n" % (a, b),
+                          ps, qs, rs, ss)
+            if kind == pinch.POSITIVE else pinch.batches(
+                "(%d,%d) --t=%d,h=%d--> (%d,%d)\n", ps, qs, ts, hs, rs, ss))
     if args.gamma3:
-        ms = pinch.tail(*pinch.walk_end(K, runs))
-        for lo in range(0, len(ms), pinch.STEP_BATCH):
-            m = ms[lo:lo + pinch.STEP_BATCH]  # steps (m, 1) -> (2 - m, 1)
-            out.write(pinch.text(
-                "(%d,1) --t=%d,h=0--> (%d,1)\n", m,
-                range(m.start - 1, m.stop - 1, m.step),
-                range(2 - m.start, 2 - m.stop, -m.step)))
+        ms = pinch.tail(*pinch.walk_end(K, runs))  # (m, 1) -> (2 - m, 1)
+        out.writelines(pinch.batches(
+            "(%d,1) --t=%d,h=0--> (%d,1)\n", ms,
+            range(ms.start - 1, ms.stop - 1, -2), range(2 - ms.start, 2, 2)))
     return 0
 
 

@@ -21,8 +21,9 @@ parity; tail gives the in-S^3 continuation from there in closed form.
 
 pinch_runs returns the runs, all checked, with two modular inverses per
 run; reports.report sums their lengths, and the tail's, into the upper
-bounds, and run_batches expands a run into its steps as ranges, a batch
-at a time, so no caller makes a Python object per step.
+bounds; run_columns expands a run into its steps as ranges, so no caller
+makes a Python object per step, and batches prints every walk through
+text, the `pinch` steps, their tail and the report trace alike.
 
 text prints a batch: every printed column is an arithmetic progression,
 so it cuts the batch into blocks where each column keeps one sign and
@@ -132,30 +133,33 @@ def _column(x, d, k, mirrored):
     return xs, repeat(d, k), range(x - 2 * d, x - 2 * (k + 1) * d, -2 * d)
 
 
-# `pinch` and the report trace expand runs STEP_BATCH steps at a time, so
-# no string holds more than that many steps.  Subprocess medians of 10
-# runs, stdout to /dev/null (2-vCPU Xeon VM), at 256, 1,024 and 4,096
-# steps a batch: `pinch 1000000 999999` 0.103, 0.073 and 0.068 s;
-# `pinch 770375 577782`, mostly MIRRORED, 0.052, 0.046 and 0.050 s;
-# `report 1000000 999999 --json` 0.209, 0.198 and 0.197 s, and its text
-# form 0.190, 0.182 and 0.183 s; `table --family 2k --kmax 1000 --json`,
-# which formats one new pair per row, 0.063, 0.059 and 0.062 s; each at
-# 14.4-14.6 MB.  A text call costs a few slices per column and block
-# whatever its length, so 256-step batches pay that four times as often.
+def run_columns(run):
+    """The steps of run as six columns p, q, t, h, r, s, ranges or repeats,
+    so that zip(*columns) gives each step's (p, q, t, h, r, s) with
+    (r, s) = (p - 2t, q - 2h).  Both displacements a, b are nonzero, as in
+    every run pinch_runs returns (a >= b >= 1)."""
+    p, q, a, b, kind, n = run
+    ps, ts, rs = _column(p, a, n, kind == MIRRORED)
+    qs, hs, ss = _column(q, b, n, kind == MIRRORED)
+    return ps, qs, ts, hs, rs, ss
+
+
+# batches prints STEP_BATCH rows a part, so no string holds more than that
+# many steps.  At 256, 1,024 and 4,096 rows a part, subprocess medians of
+# 20 runs (stdout to /dev/null, 2-vCPU Xeon VM, 14.5-14.9 MB each) were
+# 0.105, 0.076 and 0.070 s for `pinch 1000000 999999`; 0.054, 0.052 and
+# 0.052 s for `pinch 770375 577782`, mostly MIRRORED; 0.084, 0.065 and
+# 0.061 s for `report 1000000 999999 --json`, and 0.082, 0.063 and
+# 0.058 s as text.  A text call costs a few slices per column and block
+# whatever its length, so 256-row parts pay that four times as often.
 STEP_BATCH = 1024
 
 
-def run_batches(run):
-    """Yield the steps of run, STEP_BATCH at a time, as six columns p, q,
-    t, h, r, s, ranges or repeats, so that zip(*columns) gives each step's
-    (p, q, t, h, r, s) with (r, s) = (p - 2t, q - 2h).  Both displacements
-    a, b are nonzero, as in every run pinch_runs returns (a >= b >= 1)."""
-    p, q, a, b, kind, n = run
-    for lo in range(0, n, STEP_BATCH):
-        k = min(STEP_BATCH, n - lo)
-        ps, ts, rs = _column(p - 2 * lo * a, a, k, kind == MIRRORED)
-        qs, hs, ss = _column(q - 2 * lo * b, b, k, kind == MIRRORED)
-        yield ps, qs, ts, hs, rs, ss
+def batches(fmt, *columns):
+    """text(fmt, *columns) in parts of STEP_BATCH rows, the last holding
+    the rest, for columns that are ranges of one length."""
+    for lo in range(0, len(columns[0]), STEP_BATCH):
+        yield text(fmt, *(c[lo:lo + STEP_BATCH] for c in columns))
 
 
 # A block of fewer rows than this goes through % row by row.  At 3 to 6
@@ -176,8 +180,8 @@ SMALL_STEP = 500
 @functools.cache
 def _tails():
     """Digits 0 to 3 of "0000" to "9999", as four planes of 10,000 bytes
-    indexed by value mod 10,000, built on the first call: only `pinch`
-    prints with text."""
+    indexed by value mod 10,000, built on the first call, so commands that
+    print no long walk never build them."""
     return tuple(b"".join(bytes([d]) * 10 ** k for d in b"0123456789")
                  * 10 ** (3 - k) for k in (3, 2, 1, 0))
 

@@ -4,7 +4,7 @@ from collections import namedtuple
 
 from .bounds import invariants
 from .errors import ConsistencyError
-from .pinch import pinch_runs, run_batches, tail, walk_end
+from .pinch import batches, pinch_runs, run_columns, tail, walk_end
 from .torus import canonicalize
 
 # Row formats of write_rows; CSV and TSV are their cell separators.
@@ -27,8 +27,8 @@ _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
 # JSON text of a report, laid out as json.dumps(indent=2) lays out the
 # scalar fields followed by "pinch_trace", a list of [p, q] pairs: the
 # scalar fields in one template, filled from _cells with null for an
-# absent gamma3_upper, then the trace pairs, pinch.STEP_BATCH pairs per
-# string so that no string holds a long trace.
+# absent gamma3_upper, then the trace pairs, printed by pinch.batches
+# (trace_parts) so that no string holds a long trace.
 _JSON_HEAD = "{\n%s,\n  \"pinch_trace\": [" % ",\n".join(
     '  "%s": %%s' % name for name in BoundReport._fields[:-1])
 _JSON_PAIR = "\n    [\n      %d,\n      %d\n    ]"
@@ -78,15 +78,14 @@ def family_table(k_max):
 
 def trace_parts(r, sep, pair_format):
     """The pinch trace of report r as the text sep.join(pair_format % pair
-    for each pair), made in parts of at most pinch.STEP_BATCH pairs each.
-    The trace is the start of each step of the walk, then the pair it ends
-    on; it is (r.p, r.q) alone when the walk takes no step."""
-    lead = ""
+    for each pair), made in parts: each run's start pairs, each followed
+    by sep, pinch.STEP_BATCH pairs a part (pinch.batches), then the pair
+    the walk ends on.  The trace is the start of each step of the walk,
+    then that end; it is (r.p, r.q) alone when the walk takes no step."""
     for run in r.pinch_runs:
-        for ps, qs, *_ in run_batches(run):
-            yield lead + sep.join(map(pair_format.__mod__, zip(ps, qs)))
-            lead = sep
-    yield lead + pair_format % walk_end(r, r.pinch_runs)
+        ps, qs, *_ = run_columns(run)
+        yield from batches(pair_format + sep, ps, qs)
+    yield pair_format % walk_end(r, r.pinch_runs)
 
 
 def _cells(r, null):

@@ -129,7 +129,7 @@ def step_walk(K, gamma3=False):
     decrease checked at every step and a cap of K.p steps: the oracle for
     pinch_runs, and with gamma3 for the walk and its tail through T(m,1)
     down to a zero coordinate.  Yields each step's (p, q, t, h, r, s), as
-    zip(*columns) does for each batch of pinch.run_batches(run), with
+    zip(*pinch.run_columns(run)) does for each run, with
     (r, s) = (p - 2t, q - 2h)."""
     p, q = K.p, K.q
     n = 0

@@ -12,7 +12,7 @@ from crosscap4.bounds import invariants, obstruction_audit
 from crosscap4.cli import main
 from crosscap4.heegaard import d_b_circle_bundle, t0
 from crosscap4.oracle import sigma_lattice
-from crosscap4.pinch import pinch_runs, run_batches
+from crosscap4.pinch import pinch_runs, run_columns
 from crosscap4.reports import family_table, json_parts, report
 from crosscap4.torus import alexander, canonicalize, sigma_rec
 from oracles import (alexander_family, d_minus1_alternating,
@@ -115,8 +115,7 @@ def test_criterion_08_closed_form_equals_brute_force():
 def test_criterion_09_pinch_invariants():
     for p, q in coprime_pairs(300):
         steps = list(chain.from_iterable(
-            zip(*c) for run in pinch_runs(canonicalize(p, q))
-            for c in run_batches(run)))
+            zip(*run_columns(run)) for run in pinch_runs(canonicalize(p, q))))
         prev_max = p
         for step in steps:
             fp, fq, _, _, r, s = step

@@ -444,6 +444,44 @@ def test_report_pins(capsys, argv, pin):
     assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
+# Pinned output of the other commands: its sha256, or its whole text.  The
+# scan and family tables are the census and family benchmark workloads'
+# outputs.  The whole family table, 21,448,522 bytes, reuses each row's
+# trace text in the next.  alexander checks heegaard.t0 against
+# oracle.alexander_t0.  dinv reads both hands from the invariants kernel
+# and prints d(+1) by the mirror rule; profile picks its knot's hand from
+# it, and a negative p names the mirror.
+OUTPUT_PINS = [
+    (["profile", "-21", "8", "--from", "-300", "--to", "300", "--csv"],
+     "sha256",
+     "baa950d0dc93d4672c4bd8cfe67c1b4a670c0ee991a4ee9a28c96171cf2c8e1c"),
+    (["profile", "21", "8", "--from", "-300", "--to", "300"], "sha256",
+     "259b75fc6f07458b821ffbe581e3b06d85f9dcfa00d2ad0853d9a488525f6d3a"),
+    (["scan", "--max", "70", "--csv"], "sha256",
+     "8ed84c85a92f5ca8a0a95e71b0af873a778c885f9ecc60acb045a700328efce1"),
+    (["table", "--family", "2k", "--kmax", "200", "--json"], "sha256",
+     "1a55383e73a4e3a6d1b5e8bfba93c4b588bd635e616f3bd23d6cdf33f9d9a9d6"),
+    (["table", "--family", "2k", "--kmax", "1000", "--json"], "sha256",
+     "b327e4da9247a67dc6ccdcc9db5a7836052a9583c7105d30fdfdc856660989d9"),
+    (["alexander", "7", "5"], "text",
+     "T^12 - T^11 + T^7 - T^6 + T^5 - T^4 + T^2 - T + 1 - T^-1 + T^-2"
+     " - T^-4 + T^-5 - T^-6 + T^-7 - T^-11 + T^-12\nt0 = 4\n"),
+    (["dinv", "1000001", "1000000"], "text",
+     "right-handed: d(-1) = 0, d(+1) = -250000500000\n"
+     "left-handed:  d(-1) = 250000500000, d(+1) = 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, pin", OUTPUT_PINS)
+def test_output_pins(capsys, argv, kind, pin):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if kind == "sha256":
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
+    else:
+        assert out == pin
+
+
 def pinch_cases(ps):
     """(p, q, gamma3) for each coprime pair 1 <= q < p with p in ps:
     without the in-S^3 continuation, and with it where p*q is even."""
@@ -659,6 +697,37 @@ def test_out_of_range_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Bad input with its exact error line.  Each command checks its own
+# limits (cli.py) before any work: the in-S^3 parity and the walk's limit
+# before the walk, k_max before the first row, the framing window before
+# the invariants.  profile's limit falls with the digits of p*q + |n|:
+# 5,000 framings at 1,000-digit p and q.
+ERROR_PINS = [
+    (["pinch", "4", "6"], "error: (4, 6) are not coprime"),
+    (["pinch", "7", "3", "--gamma3"],
+     "error: in-S^3 continuation needs p*q even, got T(7,3)"),
+    (["pinch", "1000001", "1000000"],
+     "error: pinch accepts p <= 1000000, got 1000001"),
+    (["report", "1000001", "1000000", "--json"],
+     "error: pinch accepts p <= 1000000, got 1000001"),
+    (["report", "0", "5"], "error: need nonzero p, q, got (0, 5)"),
+    (["table", "--family", "2k", "--kmax", "1001"],
+     "error: need 2 <= k_max <= 1000, got 1001"),
+    (["profile", "4", "3", "--from", "2", "--to", "1"],
+     "error: empty framing window [2, 1]"),
+    (["profile", "4", "3", "--from", "1", "--to", "1000001"],
+     "error: profile accepts at most 1000000 framings, got 1000001"),
+    (["profile", str(10 ** 1000 - 1), str(10 ** 1000 - 2),
+      "--from", "0", "--to", "5000"],
+     "error: profile accepts at most 5000 framings, got 5001"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ERROR_PINS)
+def test_error_pins(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message + "\n")
 
 
 @settings(max_examples=100, deadline=None)

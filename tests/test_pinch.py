@@ -8,8 +8,9 @@ from crosscap4.bounds import invariants
 from crosscap4.cli import PINCH_MAX_P, main
 from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import (MIN_BLOCK_ROWS, MIRRORED, POSITIVE,
-                             SMALL_STEP, STEP_BATCH, landing, pinch_runs,
-                             pinch_step, run_batches, tail, text, walk_end)
+                             SMALL_STEP, STEP_BATCH, batches, landing,
+                             pinch_runs, pinch_step, run_columns, tail, text,
+                             walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import step_walk
@@ -19,17 +20,15 @@ PARITY_ERROR = "error: in-S^3 continuation needs p*q even, got T(7,3)\n"
 
 def run_steps(K):
     """The walk's steps (p, q, t, h, r, s) as `pinch` prints them: each run
-    of pinch_runs expanded by run_batches, batch after batch."""
-    return chain.from_iterable(zip(*c) for run in pinch_runs(K)
-                               for c in run_batches(run))
+    of pinch_runs expanded by run_columns."""
+    return chain.from_iterable(zip(*run_columns(run)) for run in pinch_runs(K))
 
 
 def gamma3_steps(K):
     """The steps `pinch --gamma3` prints: the walk's, then the tail's from
     where the walk ends."""
     runs = pinch_runs(K)
-    return (list(chain.from_iterable(zip(*c) for run in runs
-                                     for c in run_batches(run)))
+    return (list(chain.from_iterable(zip(*run_columns(run)) for run in runs))
             + [(m, 1, m - 1, 0, 2 - m, 1) for m in tail(*walk_end(K, runs))])
 
 
@@ -164,7 +163,7 @@ def check_runs_against_oracle(p, q):
     assert list(run_steps(K)) == steps, (p, q)
     assert r.pinch_runs == runs, (p, q)
     assert len(runs) <= p.bit_length(), (p, q, len(runs))
-    for _, _, a, b, _, n in runs:  # the domain run_batches relies on
+    for _, _, a, b, _, n in runs:  # the domain run_columns relies on
         assert a >= b >= 1 and n >= 1, (p, q, a, b, n)
     assert r.gamma4_upper == max(1, len(steps)), (p, q)
     if runs:  # each run starts where the one before it landed
@@ -233,19 +232,22 @@ def test_runs_family_is_one_run():
     assert report(K.p, K.q).gamma4_upper == 499998
 
 
-def test_run_batches_cut_a_run():
+def test_batches_cut_a_run():
     run = (20001, 20000, 1, 1, POSITIVE, 10000)
-    batches = [list(zip(*c)) for c in run_batches(run)]
-    assert STEP_BATCH == 1024
-    assert list(map(len, batches)) == [STEP_BATCH] * 9 + [784]
-    assert list(chain.from_iterable(batches)) == [
+    ps, qs, ts, hs, rs, ss = run_columns(run)
+    assert list(zip(ps, qs, ts, hs, rs, ss)) == [
         (20001 - 2 * i, 20000 - 2 * i, 1, 1, 19999 - 2 * i, 19998 - 2 * i)
         for i in range(10000)]
+    parts = [[tuple(map(int, line.split(","))) for line in part.splitlines()]
+             for part in batches("%d,%d,%d,%d\n", ps, qs, rs, ss)]
+    assert STEP_BATCH == 1024
+    assert list(map(len, parts)) == [STEP_BATCH] * 9 + [784]
+    assert list(chain.from_iterable(parts)) == list(zip(ps, qs, rs, ss))
     # In a POSITIVE run, the raw landing of a batch's last step starts
     # the next batch, and the last batch's is where the run lands.
-    for batch, after in zip(batches, batches[1:]):
-        assert batch[-1][4:] == after[0][:2]
-    assert batches[-1][-1][4:] == landing(run) == (1, 0)
+    for part, after in zip(parts, parts[1:]):
+        assert part[-1][2:] == after[0][:2]
+    assert parts[-1][-1][2:] == landing(run) == (1, 0)
 
 
 def test_runs_checked_at_the_call(capsys):

@@ -324,6 +324,8 @@ def filled(runs, exact, gamma3_upper, value):
 def test_emit_json_matches_stdlib_on_synthetic_reports(r):
     check_same_text(emit_json(r),
                     json.dumps(report_dict(r, expanded(r)), indent=2))
+    check_same_text(trace_text(r),
+                    " -> ".join(map("(%d,%d)".__mod__, expanded(r))))
 
 
 @st.composite

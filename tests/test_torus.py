@@ -326,16 +326,17 @@ def test_only_the_audit_loads_fractions(argv, loaded):
     assert main_loads(argv, ["fractions"]) == (0, loaded)
 
 
-def test_only_pinch_builds_the_table_of_tails():
+def test_only_long_printed_walks_build_the_table_of_tails():
     # pinch.text builds its planes of "0000" to "9999" on first use, so the
-    # commands that print no pinch step never pay for it, nor does a walk
-    # too short for a block (pinch.MIN_BLOCK_ROWS): `pinch 8 7` prints 3
-    # steps, `pinch 200 199` 99.
+    # commands that print no walk never pay for it, nor does a walk too
+    # short for a block (pinch.MIN_BLOCK_ROWS): `report 8 7` prints 3 start
+    # pairs through pinch.batches and `pinch 8 7` 3 steps.  The trace of
+    # T(621645, 414437) prints a 4,933-step MIRRORED run.
     argvs = [["scan", "--max", "10", "--csv"],
              ["table", "--family", "2k", "--kmax", "3", "--json"],
-             ["report", "621645", "414437", "--json"],
+             ["report", "8", "7", "--json"],
              ["pinch", "8", "7"],
-             ["pinch", "200", "199"]]
+             ["report", "621645", "414437", "--json"]]
     out = run_fresh(
         "import contextlib, io; from crosscap4 import cli, pinch\n"
         "for argv in %r:\n"
