@@ -37,8 +37,9 @@ MAX_DIGITS = 1000
 
 # A walk from T(p, q) takes fewer than p steps, in few runs, and `pinch`
 # prints every step and `report` every trace pair, both through
-# pinch.batches: at p = 10^6 (500,000 steps in one run, streamed) each
-# takes 0.06-0.08 s and 15 MB on a 2-vCPU Intel Xeon VM, about 0.04 s of
+# pinch.batches, which copies each part out of a block's periodic pattern:
+# at p = 10^6 (500,000 steps in one run, streamed) each takes 0.06-0.07 s
+# and 15 MB as a subprocess on a 2-vCPU Intel Xeon VM, all but 7-12 ms of
 # it interpreter start-up.
 PINCH_MAX_P = 10 ** 6
 

@@ -22,25 +22,24 @@ parity; tail gives the in-S^3 continuation from there in closed form.
 pinch_runs returns the runs, all checked, with two modular inverses per
 run; reports.report sums their lengths, and the tail's, into the upper
 bounds; run_columns expands a run into its steps as ranges, so no caller
-makes a Python object per step, and batches prints every walk through
-text, the `pinch` steps, their tail and the report trace alike.
+makes a Python object per step, and batches prints every walk, the
+`pinch` steps, their tail and the report trace alike.
 
-text prints a batch: every printed column is an arithmetic progression,
-so it cuts the batch into blocks where each column keeps one sign and
-digit count, and every row so has one width.  A block's first row,
-formatted with % and repeated into a bytearray, holds every row's glue
-and signs.  Each column's last four digits are then written down the
-rows as strided slices of four 10,000-byte digit planes, one slice per
-plane for each stretch inside one ten thousand, and only the head digits
-that differ from the first row's are rewritten; a column that steps by
-more than SMALL_STEP is instead str of each number, joined once and
-written digit by digit.  Each block is decoded once.  Short blocks, and
-blocks whose every column steps wide, go through % row by row.
+batches cuts its columns, each an arithmetic progression, into blocks
+where every column keeps one sign and digit count, so every row of a
+block has one width.  There the glue and the last four digits of each
+column stepping by at most SMALL_STEP repeat every P <= 10^4 rows, so
+_block writes them once, from four 10,000-byte digit planes over one
+period of each column, down a pattern of at most P + STEP_BATCH copies
+of the first row.  A part is a copy of its rows of the pattern, with the
+head digits that differ from the first row's and each wider column, str
+of its numbers joined once, written in, and decoded once.  Short blocks,
+and blocks whose every column steps wide, go through % row by row.
 """
 
 import functools
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .errors import ConsistencyError
 
@@ -145,21 +144,43 @@ def run_columns(run):
 
 
 # batches prints STEP_BATCH rows a part, so no string holds more than that
-# many steps.  At 256, 1,024 and 4,096 rows a part, subprocess medians of
-# 20 runs (stdout to /dev/null, 2-vCPU Xeon VM, 14.5-14.9 MB each) were
-# 0.105, 0.076 and 0.070 s for `pinch 1000000 999999`; 0.054, 0.052 and
-# 0.052 s for `pinch 770375 577782`, mostly MIRRORED; 0.084, 0.065 and
-# 0.061 s for `report 1000000 999999 --json`, and 0.082, 0.063 and
-# 0.058 s as text.  A text call costs a few slices per column and block
-# whatever its length, so 256-row parts pay that four times as often.
+# many steps, and a block's pattern at most 10^4 + STEP_BATCH rows, in one
+# bytearray.  With each part formatted on its own, `pinch 1000000 999999`
+# took 0.105, 0.076 and 0.070 s at 256, 1,024 and 4,096 rows a part
+# (subprocess medians of 20 runs, 2-vCPU Xeon VM, 14.5-14.9 MB each).
 STEP_BATCH = 1024
 
 
 def batches(fmt, *columns):
-    """text(fmt, *columns) in parts of STEP_BATCH rows, the last holding
-    the rest, for columns that are ranges of one length."""
-    for lo in range(0, len(columns[0]), STEP_BATCH):
-        yield text(fmt, *(c[lo:lo + STEP_BATCH] for c in columns))
+    """The text "".join(fmt % row for row in zip(*columns)) in parts of
+    STEP_BATCH rows, the last holding the rest, for a format whose only
+    conversions are %d and columns that are ranges of one length."""
+    if len(set(map(len, columns))) > 1:
+        raise ConsistencyError("columns of %s rows" % list(map(len, columns)))
+    if 0 < len(columns[0]) < min(MIN_BLOCK_ROWS, STEP_BATCH + 1):  # 1 part
+        yield "".join(map(fmt.__mod__, zip(*columns)))
+        return
+    part, start = [], 0
+    for end in sorted(set(chain.from_iterable(map(_cuts, columns)))):
+        block = [c[start:end] for c in columns]
+        # A part ends at every multiple of STEP_BATCH, so at these edges.
+        edges = [0, *range(STEP_BATCH - start % STEP_BATCH, end - start,
+                           STEP_BATCH), end - start]
+        if (end - start < MIN_BLOCK_ROWS
+                or all(abs(c.step) > SMALL_STEP for c in block)):
+            rows = map(fmt.__mod__, zip(*block))
+            pieces = ("".join(islice(rows, hi - lo))
+                      for lo, hi in zip(edges, edges[1:]))
+        else:
+            pieces = _block(fmt, block, edges)
+        for hi, piece in zip(edges[1:], pieces):
+            part.append(piece)
+            if (start + hi) % STEP_BATCH == 0:
+                yield "".join(part)
+                part = []
+        start = end
+    if part:
+        yield "".join(part)
 
 
 # A block of fewer rows than this goes through % row by row.  At 3 to 6
@@ -202,64 +223,62 @@ def _cuts(column):
         yield i
 
 
-def _block(fmt, columns):
-    """The rows of columns, for a block where each column's numbers keep
-    one sign and digit count, so that every row has the width of the
-    first.  The first row, repeated, holds every row's glue and signs;
-    each column's changing digits are then written down the rows with
-    strided slice assignments, and the bytes decoded once."""
-    m = len(columns[0])
+def _stretches(u, du, m):
+    """(i, k, w) for each stretch of k rows, from row i, of the m numbers
+    u, u + du, ... that lies inside one ten thousand, w its first number."""
+    i = 0
+    while i < m:
+        lo = u % 10000
+        k = min(m - i, (9999 - lo) // du + 1 if du > 0 else lo // -du + 1)
+        yield i, k, u
+        i += k
+        u += du * k
+
+
+def _block(fmt, columns, edges):
+    """The text of the rows of columns from each of edges to the next, for
+    a block where each column keeps one sign and digit count and some
+    column steps by at most SMALL_STEP: parts copied out of one pattern of
+    at most period + STEP_BATCH rows, as the module docstring describes."""
     first = tuple(c[0] for c in columns)
-    buf = bytearray((fmt % first).encode()) * m
-    width = len(buf) // m
-    at = 0  # the end of the column's number in each row
+    period = math.lcm(*(10000 // math.gcd(10000, c.step) for c in columns
+                        if abs(c.step) <= SMALL_STEP))
+    rows = min(len(columns[0]), period + STEP_BATCH)
+    pattern = bytearray((fmt % first).encode()) * rows
+    width = len(pattern) // rows
+    places, at = [], 0  # at: the end of the column's number in each row
     for g, c, v in zip(fmt.split("%d"), columns, first):
         digits = str(abs(v))
-        n = len(digits)
-        at += len(g.encode()) + (v < 0) + n
+        at += len(g.encode()) + (v < 0) + len(digits)
         u, du = abs(v), -c.step if v < 0 else c.step  # du steps abs(v)
+        places.append((at, digits, u, du))
         if abs(du) > SMALL_STEP:
-            joined = "".join(map(str, range(u, u + du * m, du))).encode()
-            for k in range(n):
-                buf[at - n + k::width] = joined[k::n]
             continue
-        planes = _tails()[-n:]
-        head = digits[:-len(planes)]
-        i = 0
-        while i < m:  # a stretch of k rows inside one ten thousand
-            lo = u % 10000
-            k = min(m - i,
-                    (9999 - lo) // du + 1 if du > 0 else lo // -du + 1)
+        cycle = []  # slices of a plane over the column's period, or rows
+        for _, k, w in _stretches(u, du, min(rows,
+                                             10000 // math.gcd(10000, du))):
+            lo = w % 10000
             end = lo + du * k
-            x = at - len(planes) + width * i
-            for plane in planes:
-                buf[x:x + width * k:width] = plane[lo:end if end >= 0
-                                                   else None:du]
-                x += 1
-            if head:  # rewrite the head digits that differ from row 0's
-                x = at - n + width * i
-                for j, digit in enumerate(str(u // 10000)):
-                    if digit != head[j]:
-                        buf[x + j:x + j + width * k:width] = (
-                            digit.encode() * k)
-            i += k
-            u += du * k
-    return buf.decode()
-
-
-def text(fmt, *columns):
-    """The text "".join(fmt % row for row in zip(*columns)), for a format
-    whose only conversions are %d and columns that are ranges of one
-    length."""
-    if len(columns[0]) < MIN_BLOCK_ROWS:
-        return "".join(map(fmt.__mod__, zip(*columns)))
-    parts, start = [], 0
-    for end in sorted(set(chain.from_iterable(map(_cuts, columns)))):
-        block = [c[start:end] for c in columns]
-        if (end - start < MIN_BLOCK_ROWS
-                or all(abs(c.step) > SMALL_STEP for c in block)):
-            parts.append("".join(map(fmt.__mod__, zip(*block))))
-        else:
-            parts.append(_block(fmt, block))
-        start = end
-    return "".join(parts)
+            cycle.append(slice(lo, end if end >= 0 else None, du))
+        planes = _tails()[-len(digits):]
+        for x, plane in enumerate(planes, at - len(planes)):
+            tails = b"".join(plane[t] for t in cycle)
+            pattern[x::width] = (tails * -(-rows // len(tails)))[:rows]
+    for lo, hi in zip(edges, edges[1:]):
+        s = lo % period  # s <= lo and s < period: the rows are in pattern
+        buf = pattern[width * s:width * (s + hi - lo)]
+        for at, digits, u, du in places:
+            n, u = len(digits), u + du * lo
+            if abs(du) > SMALL_STEP:
+                joined = "".join(map(str, range(u, u + du * (hi - lo),
+                                                du))).encode()
+                for k in range(n):
+                    buf[at - n + k::width] = joined[k::n]
+            elif n > 4:  # rewrite the head digits that differ from row 0's
+                for i, k, w in _stretches(u, du, hi - lo):
+                    x = at - n + width * i
+                    for j, digit in enumerate(str(w // 10000)):
+                        if digit != digits[j]:
+                            buf[x + j:x + j + width * k:width] = (
+                                digit.encode() * k)
+        yield buf.decode()

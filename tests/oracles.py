@@ -9,7 +9,8 @@ step at a time, with its own inverses, and trace_pairs and report_dict
 build from it the pinch trace and the JSON object that the report emitters
 print.  t0_lens derives t0 from the d-invariant of a lens space surgery,
 in O(log pq) steps, sharing no code with heegaard.t0.  dinv_numbers reads
-back the four d-invariants that `dinv` prints.
+back the four d-invariants that `dinv` prints, and check_same_text
+compares long texts such as a command's output.
 
 mirror reflects a knot class, alexander_family is the closed form of the
 Alexander polynomial of T(2k, 2k-1), and d_minus1_alternating gives d of
@@ -20,6 +21,7 @@ them, so they live here rather than in the package.
 import contextlib
 import io
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -202,3 +204,15 @@ def dinv_numbers(p, q):
     with contextlib.redirect_stdout(out):
         assert main(["dinv", str(p), str(q)]) == 0
     return tuple(map(int, re.findall(r"= (-?\d+)", out.getvalue())))
+
+
+def check_same_text(text, expected, case=""):
+    """Raise AssertionError naming the case and the first difference, if
+    any.  pytest would diff two long texts line by line, which takes
+    minutes for a trace of thousands of pairs at each of hypothesis'
+    shrink steps."""
+    if text != expected:
+        i = len(os.path.commonprefix([text, expected]))
+        raise AssertionError("%stexts differ at character %d: %r != %r"
+                             % (case and "%s: " % (case,), i,
+                                text[i:i + 40], expected[i:i + 40]))

@@ -20,7 +20,7 @@ from crosscap4.errors import ConsistencyError, InputError
 from crosscap4.pinch import STEP_BATCH
 from crosscap4.reports import CSV, write_rows
 from crosscap4.torus import canonicalize
-from oracles import report_dict, step_walk, trace_pairs
+from oracles import check_same_text, report_dict, step_walk, trace_pairs
 
 # Above MAX_DIGITS, and near 3,000 digits, where t0, sigma and c1^2 would
 # pass Python's 4,300-digit limit on int-to-str conversion.
@@ -392,7 +392,8 @@ def test_pinch_output_equals_step_walk(capsys, argv, bound):
     assert STEP_BATCH < 1050 < 2 * STEP_BATCH < 10000
     code, out, err = run(capsys, "pinch", *argv)
     assert (code, err) == (0, "")
-    assert out == oracle_lines(int(argv[0]), int(argv[1]), bound == "gamma3")
+    check_same_text(out, oracle_lines(int(argv[0]), int(argv[1]),
+                                      bound == "gamma3"))
 
 
 # Pinned bytes of `pinch`: the sha256 of the whole output, or its last
@@ -493,13 +494,13 @@ def pinch_cases(ps):
 
 @pytest.mark.parametrize("batch", [1, 2, 3, STEP_BATCH])
 def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
-    # Each batch is one pinch.text call; small batches put a boundary
+    # Each batch is one part of pinch.batches; small batches put a boundary
     # after every step of short walks.  The report trace reads the same
     # batch size, so it is cut there too.
     monkeypatch.setattr(pinch, "STEP_BATCH", batch)
     cases = pinch_cases(range(2, 100))
     if batch >= 3:  # walks that print on both sides of 1,000, where
-        # a column's digit count changes and pinch.text cuts a block
+        # a column's digit count changes and pinch.batches cuts a block
         cases += pinch_cases(range(990, 1011))
     if batch == 3:  # an 11-step POSITIVE run with (a, b) = (29602, 19735)
         cases.append((621645, 414437, False))
@@ -514,7 +515,7 @@ def test_pinch_output_at_every_batch_boundary(monkeypatch, batch):
         args, out = cli._plain(argv), io.StringIO()
         assert args is not None, argv
         assert args.func(args, out) == 0
-        assert out.getvalue() == oracle_lines(p, q, gamma3), argv
+        check_same_text(out.getvalue(), oracle_lines(p, q, gamma3), argv)
         if gamma3:
             assert reports.report(p, q).gamma3_upper == max(
                 1, out.getvalue().count("\n")), argv

@@ -9,11 +9,11 @@ from crosscap4.cli import PINCH_MAX_P, main
 from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import (MIN_BLOCK_ROWS, MIRRORED, POSITIVE,
                              SMALL_STEP, STEP_BATCH, batches, landing,
-                             pinch_runs, pinch_step, run_columns, tail, text,
+                             pinch_runs, pinch_step, run_columns, tail,
                              walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
-from oracles import step_walk
+from oracles import check_same_text, step_walk
 
 PARITY_ERROR = "error: in-S^3 continuation needs p*q even, got T(7,3)\n"
 
@@ -335,7 +335,31 @@ def steps(*pairs, n=300):
 # drops to four digits after 5 rows, the second to five after 40.
 @example(steps((10009, -2), (100079, -2), n=MIN_BLOCK_ROWS + 60),
          ["", ",", "\n"])
-def test_text_equals_the_percent_format(columns, glue):
+# Blocks longer than their period P (the lcm over narrow columns of
+# 10^4 / gcd(10^4, step)) plus STEP_BATCH, so parts are copied from the
+# pattern's rows lo mod P: step 1 across 10^5 (P = 10^4); steps 2, 6 and
+# 10 in one block (P = lcm(5000, 5000, 1000)); step 16 (P = 625); a wide
+# step of 501 beside a narrow one; a negative column stepping towards 0.
+@example([range(90000, 130000)], ["", "\n"])
+@example(steps((100000, 2), (500000, 6), (300000, 10), n=12000),
+         ["(", ",", ",", ")\n"])
+@example(steps((10 ** 6, 16), n=5000), ["", ";\n"])
+@example(steps((10 ** 6, 501), (2 * 10 ** 6, -2), n=8000), ["", ",", "\n"])
+@example(steps((-1999999, 7), n=15000), ["[", "]\n"])
+# A block of 3-digit numbers, shorter than P, then blocks of 4 and 5.
+@example([range(100, 30000)], ["", "\n"])
+def test_batches_equal_the_percent_format(columns, glue):
     fmt = "%d".join(glue[:len(columns) + 1])
-    assert text(fmt, *columns) == "".join(fmt % row
-                                          for row in zip(*columns))
+    check_same_text("".join(batches(fmt, *columns)),
+                    "".join(fmt % row for row in zip(*columns)))
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_batches_check_column_lengths(extra):
+    # A column one row longer or shorter than the first is an error, not a
+    # text cut to the first column's length.
+    n = 2000 + extra
+    columns = [range(10 ** 6, 10 ** 6 - 2 * 2000, -2), range(5, 5 + 3 * n, 3)]
+    with pytest.raises(ConsistencyError,
+                       match=r"columns of \[2000, %d\] rows" % n):
+        next(batches("%d,%d\n", *columns))

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import os
 import sys
 
 import pytest
@@ -16,7 +15,7 @@ from crosscap4.reports import (CSV, CSV_HEADER, JSON, TSV, BoundReport,
                                family_table, json_parts, report, trace_parts,
                                write_rows)
 from crosscap4.torus import canonicalize
-from oracles import report_dict, trace_pairs
+from oracles import check_same_text, report_dict, trace_pairs
 
 
 def trace_text(r):
@@ -242,16 +241,6 @@ def test_a_wrapper_around_pinch_runs_sees_the_whole_walk(monkeypatch, p, q,
     r = report(p, q)
     assert seen == [(runs, steps)]
     assert r.gamma4_upper == steps
-
-
-def check_same_text(text, expected):
-    """Raise AssertionError naming the first difference, if any.  pytest
-    would diff two long texts line by line, which takes minutes for a
-    trace of thousands of pairs at each of hypothesis' shrink steps."""
-    if text != expected:
-        i = len(os.path.commonprefix([text, expected]))
-        raise AssertionError("texts differ at character %d: %r != %r"
-                             % (i, text[i:i + 40], expected[i:i + 40]))
 
 
 coprime = st.tuples(st.integers(1, 2000), st.integers(1, 2000)).filter(

@@ -327,7 +327,7 @@ def test_only_the_audit_loads_fractions(argv, loaded):
 
 
 def test_only_long_printed_walks_build_the_table_of_tails():
-    # pinch.text builds its planes of "0000" to "9999" on first use, so the
+    # pinch.batches builds its planes of "0000" to "9999" on first use, so the
     # commands that print no walk never pay for it, nor does a walk too
     # short for a block (pinch.MIN_BLOCK_ROWS): `report 8 7` prints 3 start
     # pairs through pinch.batches and `pinch 8 7` 3 steps.  The trace of
