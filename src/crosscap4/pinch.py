@@ -27,14 +27,14 @@ makes a Python object per step, and batches prints every walk, the
 
 batches cuts its columns, each an arithmetic progression, into blocks
 where every column keeps one sign and digit count, so every row of a
-block has one width.  There the glue and the last four digits of each
-column stepping by at most SMALL_STEP repeat every P <= 10^4 rows, so
-_block writes them once, from four 10,000-byte digit planes over one
-period of each column, down a pattern of at most P + STEP_BATCH copies
-of the first row.  A part is a copy of its rows of the pattern, with the
-head digits that differ from the first row's and each wider column, str
-of its numbers joined once, written in, and decoded once.  Short blocks,
-and blocks whose every column steps wide, go through % row by row.
+block has one width.  There the glue and the last four digits of every
+column repeat every P <= 10^4 rows, so _block writes them once, from four
+10,000-byte digit planes over one period of each column, down a pattern
+of at most P + STEP_BATCH copies of the first row.  A part is a copy of
+its rows of the pattern, with the head digits that differ from the first
+row's written in, one stretch of rows inside a ten thousand at a time,
+and decoded once.  Blocks shorter than MIN_BLOCK_ROWS go through % row
+by row.
 """
 
 import functools
@@ -166,8 +166,7 @@ def batches(fmt, *columns):
         # A part ends at every multiple of STEP_BATCH, so at these edges.
         edges = [0, *range(STEP_BATCH - start % STEP_BATCH, end - start,
                            STEP_BATCH), end - start]
-        if (end - start < MIN_BLOCK_ROWS
-                or all(abs(c.step) > SMALL_STEP for c in block)):
+        if end - start < MIN_BLOCK_ROWS:
             rows = map(fmt.__mod__, zip(*block))
             pieces = ("".join(islice(rows, hi - lo))
                       for lo, hi in zip(edges, edges[1:]))
@@ -183,19 +182,12 @@ def batches(fmt, *columns):
         yield "".join(part)
 
 
-# A block of fewer rows than this goes through % row by row.  At 3 to 6
-# columns stepping by 2 to 8, _block takes 1.0-1.2 times the time of % at
-# 24 rows, 0.8-0.9 times at 32 and 0.1 times at 1,024 (2-vCPU Xeon VM).
+# A block of fewer rows than this goes through % row by row, and every
+# longer one, whatever its columns' steps, through the digit planes of
+# _block.  At 3 to 6 columns stepping by 2 to 8, _block takes 1.0-1.2
+# times the time of % at 24 rows, 0.8-0.9 times at 32 and 0.1 times at
+# 1,024 (2-vCPU Xeon VM).
 MIN_BLOCK_ROWS = 32
-
-# A column whose numbers step by at most this much in size takes its last
-# four digits from the planes of _tails, four slices for each stretch
-# inside one ten thousand; a wider column is str of each number, joined
-# once.  Over 6 columns of 128 and of 1,024 rows, the planes take 0.8 times
-# the time of str at step 400, 0.9-1.1 times at 500 and 1.2-1.3 times at
-# 600.  A block whose columns all step wider goes through %, which is
-# 1.3-1.5 times as fast as str and strided writes for them.
-SMALL_STEP = 500
 
 
 @functools.cache
@@ -237,12 +229,11 @@ def _stretches(u, du, m):
 
 def _block(fmt, columns, edges):
     """The text of the rows of columns from each of edges to the next, for
-    a block where each column keeps one sign and digit count and some
-    column steps by at most SMALL_STEP: parts copied out of one pattern of
-    at most period + STEP_BATCH rows, as the module docstring describes."""
+    a block where each column keeps one sign and digit count: parts copied
+    out of one pattern of at most period + STEP_BATCH rows, as the module
+    docstring describes."""
     first = tuple(c[0] for c in columns)
-    period = math.lcm(*(10000 // math.gcd(10000, c.step) for c in columns
-                        if abs(c.step) <= SMALL_STEP))
+    period = math.lcm(*(10000 // math.gcd(10000, c.step) for c in columns))
     rows = min(len(columns[0]), period + STEP_BATCH)
     pattern = bytearray((fmt % first).encode()) * rows
     width = len(pattern) // rows
@@ -252,8 +243,6 @@ def _block(fmt, columns, edges):
         at += len(g.encode()) + (v < 0) + len(digits)
         u, du = abs(v), -c.step if v < 0 else c.step  # du steps abs(v)
         places.append((at, digits, u, du))
-        if abs(du) > SMALL_STEP:
-            continue
         cycle = []  # slices of a plane over the column's period, or rows
         for _, k, w in _stretches(u, du, min(rows,
                                              10000 // math.gcd(10000, du))):
@@ -269,12 +258,7 @@ def _block(fmt, columns, edges):
         buf = pattern[width * s:width * (s + hi - lo)]
         for at, digits, u, du in places:
             n, u = len(digits), u + du * lo
-            if abs(du) > SMALL_STEP:
-                joined = "".join(map(str, range(u, u + du * (hi - lo),
-                                                du))).encode()
-                for k in range(n):
-                    buf[at - n + k::width] = joined[k::n]
-            elif n > 4:  # rewrite the head digits that differ from row 0's
+            if n > 4:  # rewrite the head digits that differ from row 0's
                 for i, k, w in _stretches(u, du, hi - lo):
                     x = at - n + width * i
                     for j, digit in enumerate(str(w // 10000)):

@@ -22,6 +22,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PINCH = "src/crosscap4/pinch.py"
+REPORTS = "src/crosscap4/reports.py"
 PERCENT = "tests/test_pinch.py::test_batches_equal_the_percent_format"
 
 # (file, text, replacement, why the change is a defect, tests that fail)
@@ -38,7 +39,7 @@ MUTANTS = [
      "the pattern holds at most period + STEP_BATCH rows, so a part past "
      "them is copied short",
      [PERCENT]),
-    (PINCH, "elif n > 4:", "elif n > 4 and lo < period:",
+    (PINCH, "if n > 4:", "if n > 4 and lo < period:",
      "the pattern holds the first row's head digits, so a part past the "
      "first period keeps heads it should rewrite",
      [PERCENT, "tests/test_cli.py::test_pinch_pins"]),
@@ -50,6 +51,32 @@ MUTANTS = [
      "a column longer or shorter than the first is cut to its length or "
      "cuts the text short, silently",
      ["tests/test_pinch.py::test_batches_check_column_lengths"]),
+    (PINCH, "and r % 2:", "and r % 2 == 2:",
+     "a walk that ends on (m, 1) with m odd has no in-S^3 tail of steps "
+     "by 2, so it must raise, not print a tail that never reaches 0",
+     ["tests/test_pinch.py::test_tail_edges"]),
+    (PINCH, "range(r, 0, -2)", "range(r, 0, -1)",
+     "each tail step lands on (m - 2, 1), so a tail by 1s prints twice "
+     "the steps and pairs that no pinch reaches",
+     ["tests/test_pinch.py::test_tail_edges",
+      "tests/test_pinch.py::test_runs_gamma3_tail"]),
+    (PINCH, "2 * n * a", "2 * (n - 1) * a",
+     "a run of n steps lands n displacements from its start, so one "
+     "fewer puts the landing on the run's last start",
+     ["tests/test_pinch.py::test_sequence_t53_single_pinch",
+      "tests/test_pinch.py::test_runs_multi_run_mirrored_walk"]),
+    (REPORTS, "walk_end(r, runs) == walk_end(prev, prev.pinch_runs)",
+     "True",
+     "a row of one step after a row of none would reuse a trace that ends "
+     "on the previous row's pair, not on the row's own landing",
+     ["tests/test_reports.py::"
+      "test_write_rows_json_matches_stdlib_on_synthetic_reports"]),
+    (REPORTS, "kind, n - 1)", "kind, n)",
+     "the walk without its first step has one step fewer, so a run of the "
+     "same length never equals the previous row's, and a family table "
+     "formats every row's whole trace again",
+     ["tests/test_reports.py::"
+      "test_write_rows_json_formats_one_trace_per_family_table"]),
 ]
 
 

@@ -386,6 +386,8 @@ def oracle_lines(p, q, gamma3=False):
     (("2998", "3", "--gamma3"), "gamma3"),  # a 500-step tail
     (("621645", "414437"), "gamma4"),  # two runs, the second mirrored
     (("6298", "3", "--gamma3"), "gamma3"),  # a 1,050-step tail
+    (("891089", "632160"), "gamma4"),  # 1,166 MIRRORED steps by 542, 764
+    (("789461", "267156"), "gamma4"),  # columns of steps 526 and 178
 ])
 def test_pinch_output_equals_step_walk(capsys, argv, bound):
     # The first case spans several batches, the tail of 6298 3 two.
@@ -398,8 +400,9 @@ def test_pinch_output_equals_step_walk(capsys, argv, bound):
 
 # Pinned bytes of `pinch`: the sha256 of the whole output, or its last
 # lines.  The digests cover a POSITIVE run then a 4,933-step MIRRORED run,
-# one POSITIVE run of 60,545 steps, and a one-step walk then a 500-step
-# tail.
+# one POSITIVE run of 60,545 steps, a one-step walk then a 500-step tail,
+# a 1,166-step MIRRORED run whose columns all step by more than 500, and a
+# 1,501-step POSITIVE run with columns of steps 526 and 178.
 PINCH_PINS = [
     (["pinch", "621645", "414437"], "sha256",
      "af5bd9cdc7335ca2988385bf494efe53d2ae2ea2477225b7c6d43e810c2a4837"),
@@ -410,6 +413,10 @@ PINCH_PINS = [
     (["pinch", "2998", "3", "--gamma3"], "tail",
      "(4,1) --t=3,h=0--> (-2,1)\n(2,1) --t=1,h=0--> (0,1)\n"),
     (["pinch", "1000000", "999999"], "tail", "(4,3) --t=1,h=1--> (2,1)\n"),
+    (["pinch", "891089", "632160"], "sha256",
+     "dc11e67467aaae07399979dc588322d4a0d36b9e9dd115981db35a2bbdf03fe3"),
+    (["pinch", "789461", "267156"], "sha256",
+     "26acf55b8b48eefb0a4e3b5fa6f1867b5f9f0858c24da8c867d89caf6ae82028"),
 ]
 
 

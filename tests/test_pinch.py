@@ -8,9 +8,8 @@ from crosscap4.bounds import invariants
 from crosscap4.cli import PINCH_MAX_P, main
 from crosscap4.errors import ConsistencyError
 from crosscap4.pinch import (MIN_BLOCK_ROWS, MIRRORED, POSITIVE,
-                             SMALL_STEP, STEP_BATCH, batches, landing,
-                             pinch_runs, pinch_step, run_columns, tail,
-                             walk_end)
+                             STEP_BATCH, batches, landing, pinch_runs,
+                             pinch_step, run_columns, tail, walk_end)
 from crosscap4.reports import report
 from crosscap4.torus import Hand, canonicalize
 from oracles import check_same_text, step_walk
@@ -325,9 +324,15 @@ def steps(*pairs, n=300):
 # Negative columns that cross a thousand and ten thousand.
 @example([range(-118005, -117000, 2), range(-1200005, -1198999, 2)],
          ["", " ", "\n"])
-# Steps either side of 40 and of the cut between the planes and str.
-@example(steps((10 ** 6, -40), (5 * 10 ** 5, 41), (7 * 10 ** 6, -SMALL_STEP),
-               (-3 * 10 ** 6, SMALL_STEP + 1)), ["(", ",", ",", ",", ")\n"])
+# Steps either side of 40 and of 500.
+@example(steps((10 ** 6, -40), (5 * 10 ** 5, 41), (7 * 10 ** 6, -500),
+               (-3 * 10 ** 6, 501)), ["(", ",", ",", ",", ")\n"])
+# Every column stepping by more than 500, in blocks longer than
+# MIN_BLOCK_ROWS: steps past 10^4, so that every row is a stretch of its
+# own, and steps of 1,466 and 756.
+@example(steps((9 * 10 ** 6, 10007), (10 ** 7, -20011), n=200),
+         ["", ",", "\n"])
+@example(steps((10 ** 6, -1466), (5 * 10 ** 5, 756), n=600), ["(", ",", ")\n"])
 # A step of 1,001: alone, then beside a small step.
 @example(steps((10 ** 6, 1001)), ["", "\n"])
 @example(steps((10 ** 6, 1001), (5 * 10 ** 6, -2)), ["", ",", "\n"])
@@ -335,11 +340,11 @@ def steps(*pairs, n=300):
 # drops to four digits after 5 rows, the second to five after 40.
 @example(steps((10009, -2), (100079, -2), n=MIN_BLOCK_ROWS + 60),
          ["", ",", "\n"])
-# Blocks longer than their period P (the lcm over narrow columns of
+# Blocks longer than their period P (the lcm over columns of
 # 10^4 / gcd(10^4, step)) plus STEP_BATCH, so parts are copied from the
 # pattern's rows lo mod P: step 1 across 10^5 (P = 10^4); steps 2, 6 and
-# 10 in one block (P = lcm(5000, 5000, 1000)); step 16 (P = 625); a wide
-# step of 501 beside a narrow one; a negative column stepping towards 0.
+# 10 in one block (P = lcm(5000, 5000, 1000)); step 16 (P = 625); a step
+# of 501 beside a step of 2; a negative column stepping towards 0.
 @example([range(90000, 130000)], ["", "\n"])
 @example(steps((100000, 2), (500000, 6), (300000, 10), n=12000),
          ["(", ",", ",", ")\n"])
